@@ -3,10 +3,13 @@
 Everything here is exact at truncation: the ultrametric keeps xi + eta
 inside the truncated dual, so the composition formula incurs no
 truncation error and quantize/symbol_of invert each other on the nose
-(up to rounding).  Adjoint and transpose symbols are *defined* through
-the matrix realization; the series formulas of the calculus are then
+(up to rounding).  Composition, adjoint and transpose symbols are
+*defined* through the matrix realization (BLAS does the cubic work); the
+eta-sum composition formula and the series formulas of the calculus are
 checked against them as theorems in the test-suite, not used as
-definitions.
+definitions.  The transforms behind quantize/symbol_of are numpy's FFT;
+their shifted-diagonal gathers use integer index arithmetic mod p^n,
+and ``matrix_to_symbol_table`` looks its characters up in the root table.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fourier import dft_axis
 from .operator_matrix import (
     OperatorMatrix,
     matrix_to_symbol_table,
@@ -45,22 +47,13 @@ def symbol_of(A: OperatorMatrix) -> Symbol:
 def compose_symbols(sym1: Symbol, sym2: Symbol) -> Symbol:
     """Symbol of T_{sigma1} T_{sigma2}; exact at truncation.
 
-    ``sigma(x, xi) = sum_eta sigma1(x, xi+eta) sighat2(eta, xi) chi(eta x)``
-    where sighat2 is the x-spectrum of sigma2 per column.
+    Equals ``sum_eta sigma1(x, xi+eta) sighat2(eta, xi) chi(eta x)`` with
+    sighat2 the x-spectrum of sigma2 per column; computed as the symbol
+    of the product of the two quantized matrices.
     """
     if sym1.ctx != sym2.ctx:
         raise ValueError("composition across different contexts")
-    ctx = sym1.ctx
-    N = ctx.N
-    sighat2 = dft_axis(sym2.table, ctx, -1, axis=0) / N
-    cols = np.arange(N)
-    out = np.zeros((N, N), dtype=np.complex128)
-    for ue in range(N):
-        coeff = sighat2[ue]
-        if not np.any(coeff):
-            continue
-        out += sym1.table[:, (cols + ue) % N] * coeff[None, :] * ctx.character_column(ue)[:, None]
-    return Symbol(ctx, out, "full")
+    return symbol_of(quantize(sym1).matmul(quantize(sym2)))
 
 
 def adjoint_symbol(sym: Symbol) -> Symbol:

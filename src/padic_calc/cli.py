@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ from .spectral import (
     variable_coefficient_generator,
     weyl_slope_fit,
 )
-from .symbols import Symbol, seminorm, vladimirov_symbol
+from .symbols import FAMILIES, Symbol, seminorm, vladimirov_symbol
 from .vladimirov import FORMULA_TAGS, VladimirovSpec, multiplier_table
 
 EXIT_OK = 0
@@ -145,11 +146,33 @@ def _require_size(cfg: ExperimentConfig, cap: int) -> TruncationContext:
     return TruncationContext(cfg.p, cfg.n)
 
 
-def _float_list(params: dict, key: str, default) -> list:
+def _number(key: str, val, integer: bool = False, low=None, high=None, positive: bool = False):
+    """``val`` as a finite int/float within the bounds, or a ConfigError naming ``key``."""
+    finite = isinstance(val, int) or (isinstance(val, float) and math.isfinite(val))
+    if isinstance(val, bool) or not finite or (integer and isinstance(val, float) and not val.is_integer()):
+        raise ConfigError(f"param '{key}' must be {'an integer' if integer else 'a finite number'}, got {val!r}")
+    if (positive and val <= 0) or (low is not None and val < low) or (high is not None and val > high):
+        need = "positive" if positive else f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"param '{key}' must be {need}, got {val!r}")
+    return int(val) if integer else float(val)
+
+
+def _param(params: dict, key: str, default, **bounds):
+    return _number(key, params.get(key, default), **bounds)
+
+
+def _choice(params: dict, key: str, default, options) -> str:
+    val = params.get(key, default)
+    if val not in options:
+        raise ConfigError(f"param '{key}' must be one of {list(options)}, got {val!r}")
+    return val
+
+
+def _float_list(params: dict, key: str, default, **bounds) -> list:
     vals = params.get(key, default)
     if not isinstance(vals, (list, tuple)) or not vals:
         raise ConfigError(f"param '{key}' must be a non-empty list")
-    return [float(v) for v in vals]
+    return [_number(key, v, **bounds) for v in vals]
 
 
 # ----------------------------------------------------------------- experiments
@@ -157,7 +180,7 @@ def _float_list(params: dict, key: str, default) -> list:
 
 def _run_transform_bench(cfg, rng, out):
     ctx = _require_size(cfg, 4**7)
-    trials = int(cfg.params.get("trials", 20))
+    trials = _param(cfg.params, "trials", 20, integer=True, low=0)
     rows = [("trial", "max_fast_vs_naive", "roundtrip_error", "plancherel_gap")]
     t0 = time.perf_counter()
     for t in range(trials):
@@ -178,7 +201,9 @@ def _run_transform_bench(cfg, rng, out):
 
 def _run_vladimirov_eigen(cfg, rng, out):
     ctx = _require_size(cfg, 2**12)
-    s = float(cfg.params.get("s", 1.0))
+    if ctx.n < 1:
+        raise ConfigError("vladimirov-eigen needs level n >= 1 to have a nonzero shell")
+    s = _param(cfg.params, "s", 1.0, positive=True)
     spec = VladimirovSpec(s, cfg.p)
     tables = {tag: multiplier_table(spec, ctx, tag) for tag in FORMULA_TAGS}
     fine = TruncationContext(cfg.p, cfg.n + 1)
@@ -239,13 +264,13 @@ def _run_vladimirov_eigen(cfg, rng, out):
 
 def _run_seminorm_sweep(cfg, rng, out):
     ctx = _require_size(cfg, 2**9)
-    s = float(cfg.params.get("s", 1.0))
-    family = cfg.params.get("family", "S_tilde")
-    m = float(cfg.params.get("m", s))
-    rho = float(cfg.params.get("rho", 0.0))
-    delta = float(cfg.params.get("delta", 0.0))
-    alpha_max = int(cfg.params.get("alpha_max", 3))
-    beta_max = int(cfg.params.get("beta_max", 2))
+    s = _param(cfg.params, "s", 1.0, positive=True)
+    family = _choice(cfg.params, "family", "S_tilde", FAMILIES)
+    m = _param(cfg.params, "m", s)
+    rho = _param(cfg.params, "rho", 0.0, low=0.0, high=1.0)
+    delta = _param(cfg.params, "delta", 0.0, low=0.0, high=1.0)
+    alpha_max = _param(cfg.params, "alpha_max", 3, integer=True, low=0)
+    beta_max = _param(cfg.params, "beta_max", 2, integer=True, low=0)
     sym = vladimirov_symbol(VladimirovSpec(s, cfg.p), ctx)
     rep = seminorm(sym, family, m=m, rho=rho, delta=delta, alpha_max=alpha_max, beta_max=beta_max)
     write_csv(out / "seminorm.csv", rep.to_csv_rows())
@@ -255,7 +280,7 @@ def _run_seminorm_sweep(cfg, rng, out):
 
 def _run_compose_check(cfg, rng, out):
     ctx = _require_size(cfg, 2**7)
-    trials = int(cfg.params.get("trials", 50))
+    trials = _param(cfg.params, "trials", 50, integer=True, low=0)
     worst = 0.0
     for _ in range(trials):
         t1 = rng.normal(size=(ctx.N, ctx.N)) + 1j * rng.normal(size=(ctx.N, ctx.N))
@@ -270,9 +295,9 @@ def _run_compose_check(cfg, rng, out):
 
 def _run_schur_sweep(cfg, rng, out):
     ctx = _require_size(cfg, 2**9)
-    s = float(cfg.params.get("s", 1.0))
-    m = float(cfg.params.get("m", s))
-    r_max = int(cfg.params.get("r_max", 4))
+    s = _param(cfg.params, "s", 1.0, positive=True)
+    m = _param(cfg.params, "m", s)
+    r_max = _param(cfg.params, "r_max", 4, integer=True, low=0)
     sym = vladimirov_symbol(VladimirovSpec(s, cfg.p), ctx)
     rep = equivalence_check(sym, m=m, r_max=r_max)
     rows = [("r", "m", "row_sup", "col_sup", "norm", "growth_ratio")]
@@ -298,10 +323,10 @@ def _smooth_bump(ctx, rng, decay: float, scale: float) -> np.ndarray:
 
 def _run_wiener(cfg, rng, out):
     ctx = _require_size(cfg, 2**9)
-    s = float(cfg.params.get("s", 1.0))
-    threshold = int(cfg.params.get("threshold", 1))
-    eps_rel = float(cfg.params.get("perturbation", 0.1))
-    decay = float(cfg.params.get("perturbation_decay", 6.0))
+    s = _param(cfg.params, "s", 1.0, positive=True)
+    threshold = _param(cfg.params, "threshold", 1, integer=True, low=0, high=cfg.n)
+    eps_rel = _param(cfg.params, "perturbation", 0.1)
+    decay = _param(cfg.params, "perturbation_decay", 6.0)
     spec = VladimirovSpec(s, cfg.p)
     lam = multiplier_table(spec, ctx, "integral")
     margin = float(np.min(lam[ctx.norms >= float(ctx.p) ** max(threshold, 1)]))
@@ -327,10 +352,10 @@ def _run_wiener(cfg, rng, out):
 
 def _run_parametrix(cfg, rng, out):
     ctx = _require_size(cfg, 2**8)
-    s = float(cfg.params.get("s", 1.0))
-    threshold = int(cfg.params.get("threshold", 1))
-    eps_rel = float(cfg.params.get("perturbation", 0.1))
-    decay = float(cfg.params.get("perturbation_decay", 8.0))
+    s = _param(cfg.params, "s", 1.0, positive=True)
+    threshold = _param(cfg.params, "threshold", 1, integer=True, low=0, high=cfg.n)
+    eps_rel = _param(cfg.params, "perturbation", 0.1)
+    decay = _param(cfg.params, "perturbation_decay", 8.0)
     spec = VladimirovSpec(s, cfg.p)
     lam = multiplier_table(spec, ctx, "integral")
     margin = float(np.min(lam[ctx.norms >= float(ctx.p) ** max(threshold, 1)]))
@@ -349,7 +374,7 @@ def _run_parametrix(cfg, rng, out):
 
 def _run_sobolev_bound(cfg, rng, out):
     ctx = _require_size(cfg, 2**10)
-    s_values = _float_list(cfg.params, "s_values", [1.0])
+    s_values = _float_list(cfg.params, "s_values", [1.0], positive=True)
     t_values = _float_list(cfg.params, "t_values", [-1.0, 0.0, 2.0])
     fine = TruncationContext(cfg.p, cfg.n + 1)
     rows = [("s", "t", "norm", "norm_next_level", "rel_shift")]
@@ -367,8 +392,8 @@ def _run_sobolev_bound(cfg, rng, out):
 
 def _run_weyl_count(cfg, rng, out):
     ctx = _require_size(cfg, 2**14)
-    s_values = _float_list(cfg.params, "s_values", [0.5, 1.0, 2.0])
-    formula = cfg.params.get("formula", "integral")
+    s_values = _float_list(cfg.params, "s_values", [0.5, 1.0, 2.0], positive=True)
+    formula = _choice(cfg.params, "formula", "integral", FORMULA_TAGS)
     artifacts = []
     fits = {}
     for s in s_values:
@@ -379,7 +404,10 @@ def _run_weyl_count(cfg, rng, out):
         path = out / f"weyl_counts_s{fmt(s)}.csv"
         write_csv(path, rows)
         artifacts.append(path)
-        fit = weyl_slope_fit(lam, t_min=float(cfg.p) ** s, t_max=float(cfg.p) ** ((cfg.n - 1) * s))
+        try:
+            fit = weyl_slope_fit(lam, t_min=float(cfg.p) ** s, t_max=float(cfg.p) ** ((cfg.n - 1) * s))
+        except ValueError as exc:
+            raise ConfigError(f"level n={cfg.n} is too small for the slope fit: {exc}") from exc
         fits[fmt(s)] = json.loads(fit.to_json())
     write_json(out / "weyl_fits.json", {"formula": formula, "fits": fits})
     artifacts.append(out / "weyl_fits.json")
@@ -388,10 +416,10 @@ def _run_weyl_count(cfg, rng, out):
 
 def _run_heat(cfg, rng, out):
     ctx = _require_size(cfg, 2**10)
-    orders_s = _float_list(cfg.params, "orders_s", [1.0, 0.5])
-    times = _float_list(cfg.params, "times", [0.0, 0.1, 1.0])
+    orders_s = _float_list(cfg.params, "orders_s", [1.0, 0.5], positive=True)
+    times = _float_list(cfg.params, "times", [0.0, 0.1, 1.0], low=0.0)
     sobolev_orders = _float_list(cfg.params, "sobolev_orders", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    lower = float(cfg.params.get("coefficient_floor", 1.0))
+    lower = _param(cfg.params, "coefficient_floor", 1.0)
     f0 = LevelFunction(ctx, rng.normal(size=ctx.N) + 1j * rng.normal(size=ctx.N))
     terms = [(lower + rng.uniform(0.0, 1.0, size=ctx.N), s) for s in orders_s]
     gen_sym = variable_coefficient_generator(ctx, terms)

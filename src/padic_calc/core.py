@@ -3,10 +3,13 @@
 A :class:`TruncationContext` fixes a prime ``p`` and a level ``n``; the
 group of p-adic integers is then modelled by the ``N = p^n`` cosets of
 ``p^n Z_p`` and its dual by the ``N`` fractions ``u / p^n mod 1``.  All
-norms, valuations and character phases are computed with integer
-arithmetic first and converted to floats (or looked up in a single
-precomputed root-of-unity table) only at the very end, so there is no
-accumulated phase drift anywhere downstream.
+norms and valuations are computed with integer arithmetic first and
+converted to floats only at the very end.  Character values are looked
+up in a single precomputed root-of-unity table after reducing the phase
+``u x`` as an integer mod ``p^n``, so the characters, the character
+tables, the naive transform oracle and the shifted-diagonal gathers
+carry no phase drift.  The fast transform is numpy's FFT (see
+:mod:`padic_calc.fourier`), which uses its own twiddle factors.
 """
 
 from __future__ import annotations

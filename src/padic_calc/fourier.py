@@ -10,10 +10,13 @@ A level-n function is genuinely locally constant, so its coefficients on
 frequencies of norm > p^n vanish identically and the finite transform is
 exact, not an approximation.
 
-The fast path is a decimation-in-time recursion specialized to radix p;
-the naive O(N^2) sum is kept behind a flag as an always-available oracle.
-All twiddle factors are looked up in the context's root-of-unity table
-with integer index arithmetic, never accumulated multiplicatively.
+The fast path is numpy's FFT: these characters are exactly the
+length-``p^n`` DFT characters, so ``np.fft.fft`` computes the analysis
+sum and ``np.fft.ifft(..., norm="forward")`` the unscaled synthesis sum.
+The naive O(N^2) sum is kept behind a flag of :func:`dft` as an
+always-available oracle; it reduces each phase ``u x`` as an integer mod
+``p^n`` and looks it up in the context's root-of-unity table, so its
+phases never drift.
 """
 
 from __future__ import annotations
@@ -26,56 +29,55 @@ import numpy as np
 from .core import TruncationContext
 
 
-def _dft_recursive(a: np.ndarray, p: int, roots: np.ndarray, sign: int) -> np.ndarray:
-    """Radix-p transform ``sum_x a[..., x] e(sign * u x / N)`` on the last axis."""
-    N = a.shape[-1]
-    if N == 1:
-        return a.astype(np.complex128, copy=True)
-    L = len(roots)
-    M = N // p
-    # decimate in time: row j of `sub` holds samples x = p*t + j
-    sub = np.moveaxis(a.reshape(a.shape[:-1] + (M, p)), -1, -2)
-    F = _dft_recursive(sub, p, roots, sign)
-    stride = L // N
-    jm = np.outer(np.arange(p, dtype=np.int64), np.arange(M, dtype=np.int64))
-    twiddle = roots[(sign * jm * stride) % L]
-    cj = np.outer(np.arange(p, dtype=np.int64), np.arange(p, dtype=np.int64))
-    butterfly = roots[(sign * cj * (L // p)) % L]
-    G = F * twiddle
-    X = np.einsum("cj,...jm->...cm", butterfly, G)
-    return X.reshape(a.shape)
-
-
-def _dft_naive(a: np.ndarray, p: int, roots: np.ndarray, sign: int) -> np.ndarray:
-    N = a.shape[-1]
-    L = len(roots)
-    stride = L // N
-    x = np.arange(N, dtype=np.int64)
-    W = roots[(sign * np.outer(x, x) * stride) % L]
+def _dft_naive(a: np.ndarray, ctx: TruncationContext, sign: int) -> np.ndarray:
+    x = np.arange(ctx.N, dtype=np.int64)
+    W = ctx.roots[(sign * np.outer(x, x)) % ctx.N]
     return a @ W  # W symmetric, so rows/columns interchangeable
 
 
-def dft(a: np.ndarray, ctx: TruncationContext, sign: int, naive: bool = False) -> np.ndarray:
-    """Unnormalized transform along the last axis of a batched array.
-
-    ``sign=-1`` is the analysis orientation, ``sign=+1`` the synthesis one.
-    """
+def _checked(a, ctx: TruncationContext, sign: int, axis: int) -> np.ndarray:
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
     a = np.asarray(a, dtype=np.complex128)
-    if a.shape[-1] != ctx.N:
-        raise ValueError(f"last axis has length {a.shape[-1]}, context wants {ctx.N}")
-    if ctx.N == 1:
-        return a.copy()
+    if a.shape[axis] != ctx.N:
+        raise ValueError(f"axis {axis} has length {a.shape[axis]}, context wants {ctx.N}")
+    return a
+
+
+def _fft(a: np.ndarray, sign: int, axis: int) -> np.ndarray:
+    if sign < 0:
+        return np.fft.fft(a, axis=axis)
+    return np.fft.ifft(a, axis=axis, norm="forward")
+
+
+def dft(a: np.ndarray, ctx: TruncationContext, sign: int, naive: bool = False) -> np.ndarray:
+    """Unnormalized transform ``sum_x a[..., x] e(sign * u x / p^n)`` on the last axis.
+
+    ``sign=-1`` is the analysis orientation, ``sign=+1`` the synthesis one.
+    ``naive=True`` takes the O(N^2) table-lookup sum instead of the FFT.
+    """
+    a = _checked(a, ctx, sign, -1)
     if naive:
-        return _dft_naive(a, ctx.p, ctx.roots, sign)
-    return _dft_recursive(a, ctx.p, ctx.roots, sign)
+        return _dft_naive(a, ctx, sign)
+    return _fft(a, sign, -1)
 
 
-def dft_axis(a: np.ndarray, ctx: TruncationContext, sign: int, axis: int, naive: bool = False) -> np.ndarray:
+def dft_axis(a: np.ndarray, ctx: TruncationContext, sign: int, axis: int) -> np.ndarray:
     """Same transform applied along an arbitrary axis."""
-    moved = np.moveaxis(np.asarray(a, dtype=np.complex128), axis, -1)
-    return np.moveaxis(dft(moved, ctx, sign, naive=naive), -1, axis)
+    return _fft(_checked(a, ctx, sign, axis), sign, axis)
+
+
+def _to_json(ctx: TruncationContext, arr: np.ndarray, **tag) -> str:
+    """``{p, n, <tag>, re, im}``: the JSON layout of functions and symbols."""
+    return json.dumps({"p": ctx.p, "n": ctx.n, **tag, "re": arr.real.tolist(), "im": arr.imag.tolist()})
+
+
+def _from_json(text: str, kind: str | None = None):
+    """``(doc, ctx, complex array)`` of a ``{p, n, re, im}`` document of the given kind."""
+    doc = json.loads(text)
+    if kind is not None and doc.get("kind") != kind:
+        raise ValueError(f"expected kind {kind!r}, got {doc.get('kind')!r}")
+    return doc, TruncationContext(doc["p"], doc["n"]), np.asarray(doc["re"]) + 1j * np.asarray(doc["im"])
 
 
 @dataclass
@@ -91,23 +93,12 @@ class LevelFunction:
             raise ValueError(f"expected {self.ctx.N} samples, got shape {self.values.shape}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.ctx.p,
-                "n": self.ctx.n,
-                "kind": "point",
-                "re": self.values.real.tolist(),
-                "im": self.values.imag.tolist(),
-            }
-        )
+        return _to_json(self.ctx, self.values, kind="point")
 
     @staticmethod
     def from_json(text: str) -> "LevelFunction":
-        doc = json.loads(text)
-        if doc.get("kind") != "point":
-            raise ValueError(f"expected kind 'point', got {doc.get('kind')!r}")
-        ctx = TruncationContext(doc["p"], doc["n"])
-        return LevelFunction(ctx, np.asarray(doc["re"]) + 1j * np.asarray(doc["im"]))
+        _, ctx, values = _from_json(text, "point")
+        return LevelFunction(ctx, values)
 
 
 @dataclass
@@ -123,33 +114,22 @@ class SpectralFunction:
             raise ValueError(f"expected {self.ctx.N} coefficients, got shape {self.coeffs.shape}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.ctx.p,
-                "n": self.ctx.n,
-                "kind": "spectral",
-                "re": self.coeffs.real.tolist(),
-                "im": self.coeffs.imag.tolist(),
-            }
-        )
+        return _to_json(self.ctx, self.coeffs, kind="spectral")
 
     @staticmethod
     def from_json(text: str) -> "SpectralFunction":
-        doc = json.loads(text)
-        if doc.get("kind") != "spectral":
-            raise ValueError(f"expected kind 'spectral', got {doc.get('kind')!r}")
-        ctx = TruncationContext(doc["p"], doc["n"])
-        return SpectralFunction(ctx, np.asarray(doc["re"]) + 1j * np.asarray(doc["im"]))
+        _, ctx, coeffs = _from_json(text, "spectral")
+        return SpectralFunction(ctx, coeffs)
 
 
-def forward(f: LevelFunction, naive: bool = False) -> SpectralFunction:
+def forward(f: LevelFunction) -> SpectralFunction:
     """Analysis transform with the Haar normalization p^-n."""
-    return SpectralFunction(f.ctx, dft(f.values, f.ctx, -1, naive=naive) / f.ctx.N)
+    return SpectralFunction(f.ctx, dft(f.values, f.ctx, -1) / f.ctx.N)
 
 
-def inverse(F: SpectralFunction, naive: bool = False) -> LevelFunction:
+def inverse(F: SpectralFunction) -> LevelFunction:
     """Synthesis sum; exact inverse of :func:`forward`."""
-    return LevelFunction(F.ctx, dft(F.coeffs, F.ctx, +1, naive=naive))
+    return LevelFunction(F.ctx, dft(F.coeffs, F.ctx, +1))
 
 
 def l2_norm(f: LevelFunction) -> float:

@@ -22,7 +22,7 @@ from .calculus import adjoint_symbol, ellipticity_report
 from .core import TruncationContext
 from .fourier import dft_axis
 from .operator_matrix import OperatorMatrix, schur_sums
-from .symbols import Symbol, SeminormReport, seminorm
+from .symbols import Symbol, SeminormReport, _ratio, _sub_dual_mask, seminorm
 
 
 class EllipticityMarginError(RuntimeError):
@@ -55,10 +55,6 @@ def associated_matrix(sym: Symbol) -> OperatorMatrix:
     return OperatorMatrix(ctx, entries, "frequency")
 
 
-def _sub_dual_indices(ctx: TruncationContext) -> np.ndarray:
-    return np.arange(0, ctx.N, ctx.p)
-
-
 def schur_norm(M, r: float, m: float = 0.0, ctx: TruncationContext | None = None) -> SchurReport:
     """Weighted Schur row/column sums of a frequency-basis matrix.
 
@@ -77,13 +73,9 @@ def schur_norm(M, r: float, m: float = 0.0, ctx: TruncationContext | None = None
         raise ValueError(f"weight exponent r must be >= 0, got {r}")
     row_sup, col_sup = schur_sums(entries, ctx, r, m)
     norm = max(row_sup, col_sup)
-    sub = _sub_dual_indices(ctx)
+    sub = np.flatnonzero(_sub_dual_mask(ctx))
     sub_row, sub_col = schur_sums(entries, ctx, r, m, row_idx=sub, col_idx=sub)
-    sub_norm = max(sub_row, sub_col)
-    if sub_norm == 0.0:
-        ratio = 1.0 if norm == 0.0 else np.inf
-    else:
-        ratio = norm / sub_norm
+    ratio = _ratio(norm, max(sub_row, sub_col))
     return SchurReport(r=r, m=m, row_sup=row_sup, col_sup=col_sup, norm=norm, growth_ratio=ratio)
 
 

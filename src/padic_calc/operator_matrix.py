@@ -24,6 +24,7 @@ from .core import TruncationContext
 from .fourier import LevelFunction, SpectralFunction, dft_axis
 
 _MAGIC = b"PADICOP1"
+_HEADER = len(_MAGIC) + struct.calcsize("<IIB")
 _BASIS_TAGS = {"sample": 0, "frequency": 1}
 _TAG_BASIS = {v: k for k, v in _BASIS_TAGS.items()}
 
@@ -102,10 +103,19 @@ class OperatorMatrix:
         raw = Path(path).read_bytes()
         if raw[:8] != _MAGIC:
             raise ValueError("not an operator-matrix file (bad magic)")
-        p, n, tag = struct.unpack("<IIB", raw[8:17])
+        if len(raw) < _HEADER:
+            raise ValueError(f"operator-matrix header truncated: {len(raw)} bytes, need {_HEADER}")
+        p, n, tag = struct.unpack("<IIB", raw[8:_HEADER])
+        if tag not in _TAG_BASIS:
+            raise ValueError(f"unknown basis tag {tag} (0 = sample, 1 = frequency)")
+        payload = len(raw) - _HEADER
+        # a prime power p^n exceeds the payload once n reaches its bit length,
+        # so a huge n in a corrupt header never forms the power
+        if n >= payload.bit_length() or 16 * (p**n) ** 2 != payload:
+            raise ValueError(f"payload of {payload} bytes does not hold a complex {p}^{n} x {p}^{n} matrix")
         ctx = TruncationContext(p, n)
-        data = np.frombuffer(raw[17:], dtype="<f8").reshape(ctx.N, ctx.N, 2)
-        return OperatorMatrix(ctx, data[..., 0] + 1j * data[..., 1], _TAG_BASIS[int(tag)])
+        data = np.frombuffer(raw, dtype="<f8", offset=_HEADER).reshape(ctx.N, ctx.N, 2)
+        return OperatorMatrix(ctx, data[..., 0] + 1j * data[..., 1], _TAG_BASIS[tag])
 
 
 def symbol_table_to_matrix(table: np.ndarray, ctx: TruncationContext) -> np.ndarray:

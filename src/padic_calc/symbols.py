@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Frequency, ResourceCapError, TruncationContext
-from .fourier import dft_axis
+from .fourier import _from_json, _to_json, dft_axis
 from .operator_matrix import OperatorMatrix, matrix_to_symbol_table
 from .vladimirov import VladimirovSpec, multiplier_table
 
@@ -96,21 +96,11 @@ class Symbol:
         return prof
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.ctx.p,
-                "n": self.ctx.n,
-                "form": self.form,
-                "re": self.table.real.tolist(),
-                "im": self.table.imag.tolist(),
-            }
-        )
+        return _to_json(self.ctx, self.table, form=self.form)
 
     @staticmethod
     def from_json(text: str) -> "Symbol":
-        doc = json.loads(text)
-        ctx = TruncationContext(doc["p"], doc["n"])
-        table = np.asarray(doc["re"]) + 1j * np.asarray(doc["im"])
+        doc, ctx, table = _from_json(text)
         return Symbol(ctx, table, doc.get("form", "full"))
 
 

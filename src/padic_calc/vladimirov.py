@@ -81,10 +81,11 @@ def apply_integral(spec: VladimirovSpec, f: LevelFunction) -> LevelFunction:
     ctx = f.ctx
     K = kernel_vector(spec, ctx)
     idx = (np.arange(ctx.N)[:, None] - np.arange(ctx.N)[None, :]) % ctx.N
-    Kmat = K[idx]
-    total = K.sum()
-    out = (total * f.values - Kmat @ f.values) / spec.norm_scale
-    return LevelFunction(ctx, out)
+    # difference before summing: a constant f gives exactly 0, with no
+    # cancellation between sum_y K and sum_y K f[y]
+    terms = f.values[:, None] - f.values[None, :]
+    terms *= K[idx]  # in place: one N x N complex array, not two
+    return LevelFunction(ctx, terms.sum(axis=1) / spec.norm_scale)
 
 
 def multiplier_table(spec: VladimirovSpec, ctx: TruncationContext, formula: str = "integral") -> np.ndarray:

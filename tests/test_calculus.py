@@ -96,6 +96,25 @@ def test_binary_round_trip(tmp_path):
     assert np.max(np.abs(B.entries - A.entries)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda raw: raw[:12], "header truncated"),
+        (lambda raw: raw[:16] + bytes([7]) + raw[17:], "unknown basis tag 7"),
+        (lambda raw: raw[:-8], "does not hold"),
+        # a huge level is rejected before p^n is ever formed
+        (lambda raw: raw[:12] + (2**32 - 1).to_bytes(4, "little") + raw[16:], "does not hold"),
+    ],
+    ids=["short-header", "unknown-tag", "truncated-payload", "huge-level"],
+)
+def test_binary_load_rejects_malformed_files(tmp_path, corrupt, message):
+    path = tmp_path / "op.bin"
+    OperatorMatrix.identity(TruncationContext(2, 2)).save_binary(path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        OperatorMatrix.load_binary(path)
+
+
 def test_compose_identity_and_multipliers():
     ctx = TruncationContext(2, 4)
     gen = rng()
@@ -108,15 +127,34 @@ def test_compose_identity_and_multipliers():
     assert np.max(np.abs(out.table - (a * b)[None, :])) < 1e-11
 
 
-@pytest.mark.parametrize("p,n,trials", [(2, 5, 10), (3, 3, 10)])
+def eta_sum_composition(s1, s2):
+    """``sum_eta sigma1(x, xi+eta) sighat2(eta, xi) chi(eta x)``, term by term.
+
+    The x-spectrum of sigma2 comes from the character table, not from the
+    library transform, so this route shares no code with compose_symbols.
+    """
+    ctx = s1.ctx
+    N = ctx.N
+    chars = ctx.character_matrix()  # [x, eta]
+    sighat2 = np.conj(chars).T @ s2.table / N  # [eta, xi]
+    cols = np.arange(N)
+    out = np.zeros((N, N), dtype=complex)
+    for eta in range(N):
+        out += s1.table[:, (cols + eta) % N] * sighat2[eta][None, :] * chars[:, eta][:, None]
+    return out
+
+
+@pytest.mark.parametrize("p,n,trials", [(2, 5, 10), (3, 3, 10), (5, 2, 10)])
 def test_compose_matches_matrix_product(p, n, trials):
     ctx = TruncationContext(p, n)
     gen = rng()
     for _ in range(trials):
         s1, s2 = random_symbol(ctx, gen), random_symbol(ctx, gen)
-        left = quantize(compose_symbols(s1, s2)).entries
+        composed = compose_symbols(s1, s2)
+        left = quantize(composed).entries
         right = quantize(s1).entries @ quantize(s2).entries
         assert np.max(np.abs(left - right)) < 1e-10
+        assert np.max(np.abs(composed.table - eta_sum_composition(s1, s2))) < 1e-10
 
 
 def test_adjoint_symbol():

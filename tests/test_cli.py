@@ -79,6 +79,30 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "experiment,n,params",
+    [
+        ("compose-check", 3, {"trials": "abc"}),
+        ("seminorm-sweep", 3, {"family": "bogus"}),
+        ("vladimirov-eigen", 3, {"s": -1}),
+        ("weyl-count", 2, {}),
+        ("sobolev-bound", 3, {"s_values": [1.0, "x"]}),
+        ("parametrix", 3, {"threshold": 1.5}),
+        ("weyl-count", 5, {"formula": "bogus"}),
+        ("wiener", 3, {"threshold": 4}),
+        ("heat", 3, {"times": [0.0, -1.0]}),
+        ("vladimirov-eigen", 0, {}),
+    ],
+)
+def test_bad_params_exit_config(tmp_path, capsys, experiment, n, params):
+    cfg = write_config(
+        tmp_path, {"experiment": experiment, "p": 2, "n": n, "output_dir": str(tmp_path / "out"), "params": params}
+    )
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and "\n" not in err
+
+
 def test_run_writes_manifest_and_artifacts(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -1,4 +1,4 @@
-"""Transform tests: the fast radix-p path against independent oracles."""
+"""Transform tests: the FFT path and the naive table-lookup sum against independent oracles."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from padic_calc.fourier import (
     LevelFunction,
     SpectralFunction,
     dft,
+    dft_axis,
     forward,
     inner_product,
     inverse,
@@ -62,6 +63,39 @@ def test_fast_matches_naive_all_small_sizes():
                 naive = dft(a, ctx, sign, naive=True)
                 assert np.max(np.abs(fast - naive)) < 1e-11 * max(1.0, np.max(np.abs(naive)))
             n += 1
+
+
+def mp_dft(values, N, sign):
+    """50-digit transform: roots and sums in mpmath, inputs taken exactly."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        roots = [mpmath.expjpi(mpmath.mpf(2 * k) / N) for k in range(N)]
+        vals = [mpmath.mpc(v.real, v.imag) for v in values]
+        return np.array([complex(mpmath.fsum(vals[x] * roots[(sign * u * x) % N] for x in range(N))) for u in range(N)])
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_both_routes_match_50_digit_reference(p, n):
+    ctx = TruncationContext(p, n)
+    a = random_function(ctx, rng()).values
+    for sign in (-1, +1):
+        ref = mp_dft(a, ctx.N, sign)
+        scale = np.max(np.abs(ref))
+        for naive in (False, True):
+            assert np.max(np.abs(dft(a, ctx, sign, naive=naive) - ref)) < 1e-14 * scale, (sign, naive)
+
+
+def test_dft_axis_matches_last_axis_and_checks_arguments():
+    ctx = TruncationContext(3, 2)
+    a = rng().normal(size=(ctx.N, 4)) + 0j
+    for sign in (-1, +1):
+        assert np.max(np.abs(dft_axis(a, ctx, sign, axis=0) - dft(a.T, ctx, sign).T)) < 1e-12
+    with pytest.raises(ValueError, match="sign"):
+        dft_axis(a, ctx, 2, axis=0)
+    with pytest.raises(ValueError, match="length 4"):
+        dft_axis(a, ctx, -1, axis=1)
+    with pytest.raises(ValueError, match="length 4"):
+        dft(a, ctx, +1, naive=True)
 
 
 def test_forward_of_constant_and_characters():

@@ -80,6 +80,26 @@ def test_oracle_zero_frequency():
     assert eigenvalue_oracle(VladimirovSpec(1.0, 2), Frequency(ctx, 0)) == pytest.approx(0.0, abs=1e-13)
 
 
+ZERO_SHELL_ORDERS = [1.6, 1.7, 1.8, 1.9, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8, 2.9]
+
+
+def test_oracle_zero_frequency_at_large_kernel_sums():
+    # the kernel sum at (2, 10) is 1.6e4 to 4e7 for these orders; forming
+    # sum_y K f[x] - sum_y K f[y] separately cancelled far above rtol
+    ctx = TruncationContext(2, 10)
+    for s in ZERO_SHELL_ORDERS:
+        assert eigenvalue_oracle(VladimirovSpec(s, 2), Frequency(ctx, 0)) == 0.0, s
+
+
+@pytest.mark.parametrize("s", [1.6, 2.5, 2.9])
+def test_oracle_nonzero_shells_at_large_kernel_sums(s):
+    ctx = TruncationContext(2, 10)
+    spec = VladimirovSpec(s, 2)
+    for m in range(1, ctx.n + 1):
+        lam = eigenvalue_oracle(spec, Frequency(ctx, 2 ** (ctx.n - m)), rtol=1e-10)
+        assert lam == pytest.approx(2.0 ** (m * s) - spec.additive_constant, rel=1e-10)
+
+
 def test_oracle_level_stability():
     # stable across n -> n+1 within 1e-10 once n >= log_p(norm) + 2
     spec = VladimirovSpec(1.0, 2)
