@@ -11,11 +11,7 @@ discretization error beyond floating-point rounding.
 from .core import (
     TruncationContext,
     Frequency,
-    PointIndex,
     valuation,
-    dual_norm_weight,
-    character_value,
-    dual_add,
     ConsistencyError,
     ResourceCapError,
 )

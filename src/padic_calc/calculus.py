@@ -41,7 +41,7 @@ def quantize(sym: Symbol) -> OperatorMatrix:
 def symbol_of(A: OperatorMatrix) -> Symbol:
     """Associated symbol of an operator matrix (exact round trip with quantize)."""
     entries = A.entries if A.basis == "sample" else A.to_basis("sample").entries
-    return Symbol(A.ctx, matrix_to_symbol_table(entries, A.ctx), "full")
+    return Symbol(A.ctx, matrix_to_symbol_table(entries, A.ctx))
 
 
 def compose_symbols(sym1: Symbol, sym2: Symbol) -> Symbol:
@@ -181,7 +181,7 @@ def parametrix(
     high = ctx.norms >= float(ctx.p) ** threshold
     tau_table = np.zeros_like(sym.table)
     tau_table[:, high] = 1.0 / sym.table[:, high]
-    tau = Symbol(ctx, tau_table, "full")
+    tau = Symbol(ctx, tau_table)
 
     A = quantize(sym).to_basis("frequency").entries
     B = quantize(tau).to_basis("frequency").entries
@@ -266,7 +266,7 @@ def analytic_calculus(
         fA = np.linalg.inv(A - shift * np.eye(sym.ctx.N))
     else:
         raise ValueError(f"unknown analytic function {function!r}")
-    f_sym = Symbol(sym.ctx, f_table, sym.form if sym.form == "multiplier" else "full")
+    f_sym = Symbol(sym.ctx, f_table)
     defect = quantize(f_sym).entries - fA
     Dfreq = OperatorMatrix(sym.ctx, defect, "sample").to_basis("frequency").entries
     report = AnalyticCalcReport(

@@ -175,6 +175,18 @@ def _float_list(params: dict, key: str, default, **bounds) -> list:
     return [_number(key, v, **bounds) for v in vals]
 
 
+def _order(key: str, s: float, cfg: ExperimentConfig) -> float:
+    """``s`` if D^s and its eigenvalues up to level n+1 are finite floats, else a ConfigError naming ``key``."""
+    try:
+        VladimirovSpec(s, cfg.p)
+    except ValueError as exc:
+        raise ConfigError(f"param '{key}': {exc}") from exc
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.power(float(cfg.p), s * (cfg.n + 1))):
+            raise ConfigError(f"param '{key}': |xi|^{s} overflows at level {cfg.n + 1}")
+    return s
+
+
 # ----------------------------------------------------------------- experiments
 
 
@@ -203,7 +215,7 @@ def _run_vladimirov_eigen(cfg, rng, out):
     ctx = _require_size(cfg, 2**12)
     if ctx.n < 1:
         raise ConfigError("vladimirov-eigen needs level n >= 1 to have a nonzero shell")
-    s = _param(cfg.params, "s", 1.0, positive=True)
+    s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     spec = VladimirovSpec(s, cfg.p)
     tables = {tag: multiplier_table(spec, ctx, tag) for tag in FORMULA_TAGS}
     fine = TruncationContext(cfg.p, cfg.n + 1)
@@ -264,7 +276,7 @@ def _run_vladimirov_eigen(cfg, rng, out):
 
 def _run_seminorm_sweep(cfg, rng, out):
     ctx = _require_size(cfg, 2**9)
-    s = _param(cfg.params, "s", 1.0, positive=True)
+    s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     family = _choice(cfg.params, "family", "S_tilde", FAMILIES)
     m = _param(cfg.params, "m", s)
     rho = _param(cfg.params, "rho", 0.0, low=0.0, high=1.0)
@@ -295,7 +307,7 @@ def _run_compose_check(cfg, rng, out):
 
 def _run_schur_sweep(cfg, rng, out):
     ctx = _require_size(cfg, 2**9)
-    s = _param(cfg.params, "s", 1.0, positive=True)
+    s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     m = _param(cfg.params, "m", s)
     r_max = _param(cfg.params, "r_max", 4, integer=True, low=0)
     sym = vladimirov_symbol(VladimirovSpec(s, cfg.p), ctx)
@@ -323,10 +335,10 @@ def _smooth_bump(ctx, rng, decay: float, scale: float) -> np.ndarray:
 
 def _run_wiener(cfg, rng, out):
     ctx = _require_size(cfg, 2**9)
-    s = _param(cfg.params, "s", 1.0, positive=True)
+    s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     threshold = _param(cfg.params, "threshold", 1, integer=True, low=0, high=cfg.n)
     eps_rel = _param(cfg.params, "perturbation", 0.1)
-    decay = _param(cfg.params, "perturbation_decay", 6.0)
+    decay = _param(cfg.params, "perturbation_decay", 6.0, low=0.0)
     spec = VladimirovSpec(s, cfg.p)
     lam = multiplier_table(spec, ctx, "integral")
     margin = float(np.min(lam[ctx.norms >= float(ctx.p) ** max(threshold, 1)]))
@@ -352,10 +364,10 @@ def _run_wiener(cfg, rng, out):
 
 def _run_parametrix(cfg, rng, out):
     ctx = _require_size(cfg, 2**8)
-    s = _param(cfg.params, "s", 1.0, positive=True)
+    s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     threshold = _param(cfg.params, "threshold", 1, integer=True, low=0, high=cfg.n)
     eps_rel = _param(cfg.params, "perturbation", 0.1)
-    decay = _param(cfg.params, "perturbation_decay", 8.0)
+    decay = _param(cfg.params, "perturbation_decay", 8.0, low=0.0)
     spec = VladimirovSpec(s, cfg.p)
     lam = multiplier_table(spec, ctx, "integral")
     margin = float(np.min(lam[ctx.norms >= float(ctx.p) ** max(threshold, 1)]))
@@ -375,8 +387,15 @@ def _run_parametrix(cfg, rng, out):
 def _run_sobolev_bound(cfg, rng, out):
     ctx = _require_size(cfg, 2**10)
     s_values = _float_list(cfg.params, "s_values", [1.0], positive=True)
+    s_values = [_order("s_values", s, cfg) for s in s_values]
     t_values = _float_list(cfg.params, "t_values", [-1.0, 0.0, 2.0])
     fine = TruncationContext(cfg.p, cfg.n + 1)
+    top = float(cfg.p) ** fine.n  # the largest weight <xi> the conjugation sees
+    for s in s_values:
+        with np.errstate(over="ignore"):
+            bad = [t for t in t_values if not np.all(np.isfinite(np.power(top, [t, -(t + s)])))]
+        if bad:
+            raise ConfigError(f"param 't_values': <xi>^t or <xi>^-(t+{s}) overflows at level {fine.n} for t={bad[0]}")
     rows = [("s", "t", "norm", "norm_next_level", "rel_shift")]
     for s in s_values:
         spec = VladimirovSpec(s, cfg.p)
@@ -393,6 +412,7 @@ def _run_sobolev_bound(cfg, rng, out):
 def _run_weyl_count(cfg, rng, out):
     ctx = _require_size(cfg, 2**14)
     s_values = _float_list(cfg.params, "s_values", [0.5, 1.0, 2.0], positive=True)
+    s_values = [_order("s_values", s, cfg) for s in s_values]
     formula = _choice(cfg.params, "formula", "integral", FORMULA_TAGS)
     artifacts = []
     fits = {}
@@ -417,6 +437,7 @@ def _run_weyl_count(cfg, rng, out):
 def _run_heat(cfg, rng, out):
     ctx = _require_size(cfg, 2**10)
     orders_s = _float_list(cfg.params, "orders_s", [1.0, 0.5], positive=True)
+    orders_s = [_order("orders_s", s, cfg) for s in orders_s]
     times = _float_list(cfg.params, "times", [0.0, 0.1, 1.0], low=0.0)
     sobolev_orders = _float_list(cfg.params, "sobolev_orders", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     lower = _param(cfg.params, "coefficient_floor", 1.0)

@@ -138,18 +138,6 @@ class TruncationContext:
 
 
 @dataclass(frozen=True)
-class PointIndex:
-    """Sample point: the coset ``x + p^n Z_p``."""
-
-    ctx: TruncationContext
-    x: int
-
-    def __post_init__(self):
-        if not 0 <= self.x < self.ctx.N:
-            raise ValueError(f"point index {self.x} outside [0, {self.ctx.N})")
-
-
-@dataclass(frozen=True)
 class Frequency:
     """Element of the truncated dual group, indexed by ``u`` in ``[0, p^n)``.
 
@@ -209,34 +197,3 @@ def valuation(k: int, ctx: TruncationContext):
         k //= ctx.p
         v += 1
     return v
-
-
-def dual_norm_weight(f: Frequency) -> tuple[float, float]:
-    """Exact ``(|xi|_p, max(1, |xi|_p))`` of a dual element."""
-    return f.norm, f.weight
-
-
-def character_value(f, x, ctx: TruncationContext | None = None) -> complex:
-    """``chi(xi x) = exp(2 pi i u x / p^n)`` via one table lookup.
-
-    Accepts a :class:`Frequency` or a bare index for ``f``, and a
-    :class:`PointIndex` or a bare integer for ``x``.  The phase is reduced
-    mod ``p^n`` in integer arithmetic before touching the root table.
-    """
-    if isinstance(f, Frequency):
-        ctx = f.ctx
-        u = f.u
-    else:
-        if ctx is None:
-            raise ValueError("ctx required when passing a bare frequency index")
-        u = int(f)
-    if isinstance(x, PointIndex):
-        x = x.x
-    return complex(ctx.roots[(u * int(x)) % ctx.N])
-
-
-def dual_add(f1: Frequency, f2: Frequency) -> Frequency:
-    """Group addition in the truncated dual (index addition mod p^n)."""
-    if f1.ctx != f2.ctx:
-        raise ValueError("frequencies from different truncation contexts")
-    return Frequency(f1.ctx, (f1.u + f2.u) % f1.ctx.N)

@@ -267,17 +267,18 @@ class HeatTrajectory:
 def heat_evolve(generator, f0: LevelFunction, times, orders, eig_cap: int = DENSE_EIG_CAP) -> HeatTrajectory:
     """Evolve the semigroup generated by -T from f0 over a time grid.
 
-    Multiplier symbols take the exact spectral path
-    ``fhat(t, xi) = exp(-t lambda(xi)) fhat(0, xi)``; anything else goes
-    through the dense eigen-decomposition.
+    A symbol whose rows are all equal (a multiplier) takes the exact
+    spectral path ``fhat(t, xi) = exp(-t lambda(xi)) fhat(0, xi)``; any
+    other symbol or operator matrix goes through the dense
+    eigen-decomposition.
     """
     times = [float(t) for t in times]
     orders = [float(k) for k in orders]
     if any(t < 0 for t in times):
         raise ValueError("negative evolution times are not allowed")
     ctx = f0.ctx
-    if isinstance(generator, Symbol) and generator.form == "multiplier":
-        lam = generator.table[0]
+    lam = generator.multiplier_values() if isinstance(generator, Symbol) else None
+    if lam is not None:
         F0 = forward(f0).coeffs
         norms = np.zeros((len(times), len(orders)))
         mags = np.zeros((len(times), ctx.N))
@@ -314,4 +315,4 @@ def variable_coefficient_generator(ctx: TruncationContext, terms, formula: str =
             raise ValueError(f"coefficient needs {ctx.N} samples, got {a.shape}")
         lam = multiplier_table(VladimirovSpec(float(s), ctx.p), ctx, formula)
         table += a[:, None] * lam[None, :]
-    return Symbol(ctx, table, "full")
+    return Symbol(ctx, table)

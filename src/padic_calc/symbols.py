@@ -1,10 +1,12 @@
 """Symbol tables, difference/derivative operators, class-seminorm sweeps.
 
 A symbol is a complex table sigma[x, u] over sample points x and dual
-indices u.  Three forms are tracked: ``full`` (generic), ``radial``
-(depends on u only through |xi|_p; carries a per-x profile over shells
-j = 0 for xi = 0 and j = 1..n for norm p^j) and ``multiplier``
-(x-independent).  Expansions between forms are exact.
+indices u, and the table is all it stores.  Structure is read off the
+table: a Fourier multiplier is a table whose rows are all exactly equal
+(``Symbol.multiplier_values``), and a radial symbol depends on u only
+through |xi|_p, with a per-x profile over shells j = 0 for xi = 0 and
+j = 1..n for norm p^j (``Symbol.radial_profile``).  ``Symbol.multiplier``
+and ``Symbol.radial`` expand a vector or a profile into a table exactly.
 
 Difference operators:
 
@@ -45,28 +47,23 @@ DOUBLE_DIFFERENCE_CAP = 2**20
 
 @dataclass
 class Symbol:
-    """Complex symbol table sigma[x, u] with an optional structured form."""
+    """Complex symbol table sigma[x, u]; multiplier and radial structure is read off the table."""
 
     ctx: TruncationContext
     table: np.ndarray
-    form: str = "full"
-    profile: np.ndarray | None = None
-    valid_shell_max: int | None = None
 
     def __post_init__(self):
         self.table = np.asarray(self.table, dtype=np.complex128)
         N = self.ctx.N
         if self.table.shape != (N, N):
             raise ValueError(f"expected a {N}x{N} symbol table, got {self.table.shape}")
-        if self.form not in ("full", "radial", "multiplier"):
-            raise ValueError(f"unknown symbol form {self.form!r}")
 
     @staticmethod
     def multiplier(ctx: TruncationContext, values) -> "Symbol":
         values = np.asarray(values, dtype=np.complex128)
         if values.shape != (ctx.N,):
             raise ValueError(f"multiplier needs {ctx.N} values, got {values.shape}")
-        return Symbol(ctx, np.tile(values, (ctx.N, 1)), "multiplier")
+        return Symbol(ctx, np.tile(values, (ctx.N, 1)))
 
     @staticmethod
     def radial(ctx: TruncationContext, profile) -> "Symbol":
@@ -76,32 +73,31 @@ class Symbol:
             profile = np.tile(profile, (ctx.N, 1))
         if profile.shape != (ctx.N, ctx.n + 1):
             raise ValueError(f"radial profile must have shape ({ctx.N}, {ctx.n + 1})")
-        table = profile[:, ctx.shells]
-        return Symbol(ctx, table, "radial", profile=profile.copy())
+        return Symbol(ctx, profile[:, ctx.shells])
+
+    def multiplier_values(self) -> np.ndarray | None:
+        """Row 0 when every row equals it exactly (sigma independent of x), else None."""
+        row = self.table[0]
+        return row if np.all(self.table == row[None, :]) else None
 
     def radial_profile(self, tol: float = 1e-12) -> np.ndarray:
-        """Per-x shell profile; detects radiality of full tables within tol."""
-        if self.profile is not None:
-            return self.profile
+        """Per-x shell profile read off the table; raises unless radial within tol."""
         sh = self.ctx.shells
-        prof = np.zeros((self.ctx.N, self.ctx.n + 1), dtype=np.complex128)
+        _, first = np.unique(sh, return_index=True)  # first dual index of each shell
+        prof = self.table[:, first]
         scale = max(1.0, float(np.max(np.abs(self.table))))
-        for j in range(self.ctx.n + 1):
-            cols = np.flatnonzero(sh == j)
-            block = self.table[:, cols]
-            ref = block[:, 0]
-            if np.max(np.abs(block - ref[:, None])) > tol * scale:
-                raise ValueError(f"symbol is not radial on shell {j}")
-            prof[:, j] = ref
+        off = np.max(np.abs(self.table - prof[:, sh]), axis=0) > tol * scale
+        if np.any(off):
+            raise ValueError(f"symbol is not radial on shell {int(sh[off].min())}")
         return prof
 
     def to_json(self) -> str:
-        return _to_json(self.ctx, self.table, form=self.form)
+        return _to_json(self.ctx, self.table)
 
     @staticmethod
     def from_json(text: str) -> "Symbol":
-        doc, ctx, table = _from_json(text)
-        return Symbol(ctx, table, doc.get("form", "full"))
+        _, ctx, table = _from_json(text)
+        return Symbol(ctx, table)
 
 
 @dataclass
@@ -169,8 +165,7 @@ def delta_plus(sym: Symbol, eta) -> Symbol:
     u_eta = eta.u if isinstance(eta, Frequency) else int(eta)
     N = sym.ctx.N
     shifted = sym.table[:, (np.arange(N) + u_eta) % N]
-    form = "multiplier" if sym.form == "multiplier" else "full"
-    return Symbol(sym.ctx, shifted - sym.table, form)
+    return Symbol(sym.ctx, shifted - sym.table)
 
 
 def radial_delta(sym: Symbol, alpha: int) -> Symbol:
@@ -178,25 +173,27 @@ def radial_delta(sym: Symbol, alpha: int) -> Symbol:
 
     Shells j = 1..n-alpha of the output hold the differenced profile;
     the xi = 0 entry and the shells beyond n-alpha (where the forward
-    difference would look past the truncation) are zeroed, and
-    ``valid_shell_max`` records the last trustworthy shell.
+    difference would look past the truncation) are exactly 0.
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     prof = sym.radial_profile()
     ctx = sym.ctx
     if alpha == 0:
-        out = Symbol.radial(ctx, prof)
-        out.valid_shell_max = ctx.n
-        return out
+        return Symbol.radial(ctx, prof)
     if alpha > ctx.n - 1:
         raise ValueError(f"cannot take {alpha} shell differences at level {ctx.n}")
     diff = np.diff(prof[:, 1:], n=alpha, axis=1)  # shells 1..n-alpha
     new_prof = np.zeros_like(prof)
     new_prof[:, 1 : ctx.n - alpha + 1] = diff
-    out = Symbol.radial(ctx, new_prof)
-    out.valid_shell_max = ctx.n - alpha
-    return out
+    return Symbol.radial(ctx, new_prof)
+
+
+def _dx(cols: np.ndarray, ctx: TruncationContext, beta: float) -> np.ndarray:
+    """D^beta along axis 0 of an (N, k) array: each column is a function of x."""
+    lam = multiplier_table(VladimirovSpec(beta, ctx.p), ctx, "integral")
+    hat = dft_axis(cols, ctx, -1, axis=0) / ctx.N
+    return dft_axis(lam[:, None] * hat, ctx, +1, axis=0)
 
 
 def dx_vladimirov(sym: Symbol, beta: float) -> Symbol:
@@ -204,19 +201,11 @@ def dx_vladimirov(sym: Symbol, beta: float) -> Symbol:
     if beta < 0:
         raise ValueError(f"derivative order must be >= 0, got {beta}")
     if beta == 0:
-        return Symbol(sym.ctx, sym.table.copy(), sym.form, profile=None if sym.profile is None else sym.profile.copy())
-    ctx = sym.ctx
-    lam = multiplier_table(VladimirovSpec(beta, ctx.p), ctx, "integral")
-    sighat = dft_axis(sym.table, ctx, -1, axis=0) / ctx.N
-    out_table = dft_axis(lam[:, None] * sighat, ctx, +1, axis=0)
-    out = Symbol(ctx, out_table, sym.form if sym.form != "radial" else "radial")
-    if sym.form == "radial":
-        prof_hat = dft_axis(sym.radial_profile(), ctx, -1, axis=0) / ctx.N
-        out.profile = dft_axis(lam[:, None] * prof_hat, ctx, +1, axis=0)
-    if sym.form == "multiplier":
-        # constants in x are annihilated exactly; clean the rounding dust
-        out.table[:] = 0.0
-    return out
+        return Symbol(sym.ctx, sym.table.copy())
+    if sym.multiplier_values() is not None:
+        # constants in x are annihilated exactly; skip the rounding dust
+        return Symbol(sym.ctx, np.zeros_like(sym.table))
+    return Symbol(sym.ctx, _dx(sym.table, sym.ctx, beta))
 
 
 def partial_x_h(sym: Symbol, h: int) -> Symbol:
@@ -228,7 +217,7 @@ def partial_x_h(sym: Symbol, h: int) -> Symbol:
     sighat = dft_axis(sym.table, ctx, -1, axis=0) / N
     idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
     factor = (ctx.norms[idx] - ctx.norms[None, :]) ** h
-    return Symbol(ctx, dft_axis(factor * sighat, ctx, +1, axis=0), "full")
+    return Symbol(ctx, dft_axis(factor * sighat, ctx, +1, axis=0))
 
 
 def _sub_dual_mask(ctx: TruncationContext) -> np.ndarray:
@@ -247,6 +236,16 @@ def _ratio(full: float, sub: float) -> float:
     if sub == 0.0:
         return 1.0 if full == 0.0 else np.inf
     return full / sub
+
+
+def _xi_difference_sups(T: np.ndarray) -> np.ndarray:
+    """``out[eta, xi] = max_x |T[x, xi + eta] - T[x, xi]|``; row eta = 0 stays 0."""
+    N = T.shape[1]
+    cols = np.arange(N)
+    out = np.zeros((N, N))
+    for ue in range(1, N):
+        out[ue] = np.max(np.abs(T[:, (cols + ue) % N] - T), axis=0)
+    return out
 
 
 def seminorm(
@@ -281,7 +280,7 @@ def seminorm(
         prof = sym.radial_profile()
         shell_j = np.arange(1, ctx.n + 1)
         for beta in range(beta_max + 1):
-            dprof = dx_vladimirov(Symbol.radial(ctx, prof), float(beta)).radial_profile() if beta else prof
+            dprof = _dx(prof, ctx, float(beta)) if beta else prof
             zero_col = np.max(np.abs(dprof[:, 0]))
             for alpha in range(alpha_max + 1):
                 if alpha == 0:
@@ -307,25 +306,22 @@ def seminorm(
 
     if family == "S_tilde":
         N = ctx.N
-        cols = np.arange(N)
         sub_mask = _sub_dual_mask(ctx)
+        lam = sym.multiplier_values()
         for beta in range(beta_max + 1):
             if beta == 0:
-                T = sym.table[:1] if sym.form == "multiplier" else sym.table
-            elif sym.form == "multiplier":
+                T = sym.table if lam is None else lam[None, :]
+            elif lam is not None:
                 continue  # x-constant columns are annihilated exactly
             else:
-                T = dx_vladimirov(Symbol(ctx, sym.table, "full"), float(beta)).table
+                T = _dx(sym.table, ctx, float(beta))
             # alpha = 0 is the zeroth difference: the plain size of D^beta sigma
             base = np.max(np.abs(T), axis=0) / np.power(ctx.weights, m + delta * beta)
             C[0, beta] = float(base.max())
             Csub[0, beta] = _masked_max(base, sub_mask)
             if alpha_max == 0:
                 continue
-            num = np.zeros((N, N))  # num[eta, xi]
-            for ue in range(1, N):
-                dcol = T[:, (cols + ue) % N] - T
-                num[ue] = np.max(np.abs(dcol), axis=0)
+            num = _xi_difference_sups(T)
             allowed = ctx.norms[:, None] <= ctx.weights[None, :]
             allowed[0, :] = False  # eta = 0 excluded (difference vanishes anyway)
             for alpha in range(1, alpha_max + 1):
@@ -347,17 +343,13 @@ def seminorm(
     cols = np.arange(N)
     point_norm = np.power(float(ctx.p), -ctx.valuations.astype(np.float64))  # |y|_p of residues
     sub_mask = _sub_dual_mask(ctx)
-    num_xi = np.zeros((N, N))  # single xi-difference: [eta, xi]
-    for ue in range(1, N):
-        num_xi[ue] = np.max(np.abs(sym.table[:, (cols + ue) % N] - sym.table), axis=0)
+    num_xi = _xi_difference_sups(sym.table)  # single xi-difference: [eta, xi]
     num_x = np.zeros((N, N))  # single x-difference: [y, xi]
     num2 = np.zeros((N, N, N))  # double difference: [y, eta, xi]
     for y in range(1, N):
         R = sym.table[(cols + y) % N, :] - sym.table
         num_x[y] = np.max(np.abs(R), axis=0)
-        for ue in range(1, N):
-            D = R[:, (cols + ue) % N] - R
-            num2[y, ue] = np.max(np.abs(D), axis=0)
+        num2[y] = _xi_difference_sups(R)
     eta_pow = np.power(ctx.norms, 1.0, where=ctx.norms > 0, out=np.ones(N))
     for alpha in range(alpha_max + 1):
         for beta in range(beta_max + 1):
@@ -403,7 +395,7 @@ def amplitude_to_symbol(a: Amplitude, cap: int = AMPLITUDE_CAP) -> Symbol:
     testing the amplitude operator against every character.
     """
     A = amplitude_to_operator(a, cap=cap)
-    return Symbol(a.ctx, matrix_to_symbol_table(A.entries, a.ctx), "full")
+    return Symbol(a.ctx, matrix_to_symbol_table(A.entries, a.ctx))
 
 
 def asymptotic_sum(parts) -> Symbol:
@@ -427,7 +419,7 @@ def asymptotic_sum(parts) -> Symbol:
         if not np.any(cut):
             break
         total += sym.table * cut[None, :]
-    return Symbol(ctx, total, "full")
+    return Symbol(ctx, total)
 
 
 def asymptotic_residue(parts, sigma: Symbol, upto: int) -> Symbol:
@@ -435,4 +427,4 @@ def asymptotic_residue(parts, sigma: Symbol, upto: int) -> Symbol:
     table = sigma.table.copy()
     for sym, _mj in list(parts)[:upto]:
         table -= sym.table
-    return Symbol(sigma.ctx, table, "full")
+    return Symbol(sigma.ctx, table)

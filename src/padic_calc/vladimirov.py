@@ -42,6 +42,11 @@ class VladimirovSpec:
             raise ValueError(f"order s must be positive, got {self.s}")
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
+        # p^s must be a float strictly between 1 and inf, or gamma_p divides by 0 or overflows
+        with np.errstate(over="ignore"):
+            p_to_s = np.power(float(self.p), float(self.s))
+        if not 1.0 < p_to_s < math.inf:
+            raise ValueError(f"order s={self.s} puts p^s = {self.p}^{self.s} outside (1, inf) in floating point")
 
     @property
     def gamma_p(self) -> float:

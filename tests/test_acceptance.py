@@ -272,7 +272,7 @@ def test_criterion_9_heat_smoothing():
     # pure multiplier: exact spectral path vs dense eigensolve path
     sym = vladimirov_symbol(VladimirovSpec(1.0, 2), ctx)
     fast = heat_evolve(sym, f0, [0.1, 1.0], orders)
-    dense = heat_evolve(Symbol(ctx, sym.table, "full"), f0, [0.1, 1.0], orders)
+    dense = heat_evolve(quantize(sym), f0, [0.1, 1.0], orders)
     gap = float(np.max(np.abs(fast.norms - dense.norms)) / max(1.0, float(np.max(fast.norms))))
     checks[f"multiplier path = eigen path ({gap:.2e} < 1e-8)"] = gap < 1e-8
     _verdict("9 heat smoothing", checks, time.perf_counter() - t0, 120.0)

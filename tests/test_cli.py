@@ -79,6 +79,11 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+ORDER_EXPERIMENTS = ("vladimirov-eigen", "seminorm-sweep", "schur-sweep", "wiener", "parametrix")
+#: p^s rounds to 1 (gamma_p divides by 0), p^s overflows, |xi|^s overflows at level n+1
+BAD_ORDERS = (1e-300, 1e6, 1000.0)
+
+
 @pytest.mark.parametrize(
     "experiment,n,params",
     [
@@ -92,6 +97,13 @@ def test_exit_codes(tmp_path, capsys):
         ("wiener", 3, {"threshold": 4}),
         ("heat", 3, {"times": [0.0, -1.0]}),
         ("vladimirov-eigen", 0, {}),
+        *[(e, 2, {"s": s}) for e in ORDER_EXPERIMENTS for s in BAD_ORDERS],
+        *[(e, n, {"s_values": [s]}) for e, n in (("sobolev-bound", 2), ("weyl-count", 8)) for s in BAD_ORDERS],
+        *[("heat", 2, {"orders_s": [s]}) for s in BAD_ORDERS],
+        ("wiener", 2, {"perturbation_decay": -1e6}),
+        ("parametrix", 2, {"perturbation_decay": -1e6}),
+        # Sobolev weights <xi>^t or <xi>^-(t+s) that overflow at the fine level
+        *[("sobolev-bound", 2, {"t_values": [t]}) for t in (1e6, -1e6, 700.0)],
     ],
 )
 def test_bad_params_exit_config(tmp_path, capsys, experiment, n, params):

@@ -6,17 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padic_calc.core import (
-    INFINITE_ORDER,
-    Frequency,
-    PointIndex,
-    TruncationContext,
-    character_value,
-    dual_add,
-    dual_norm_weight,
-    is_prime,
-    valuation,
-)
+from padic_calc.core import INFINITE_ORDER, Frequency, TruncationContext, is_prime, valuation
 
 
 def test_prime_validation():
@@ -47,9 +37,11 @@ def test_valuation_examples():
 
 
 def test_frequency_norm_weight_examples():
-    assert dual_norm_weight(Frequency(TruncationContext(2, 3), 0)) == (0.0, 1.0)
-    assert dual_norm_weight(Frequency(TruncationContext(2, 3), 4)) == (2.0, 2.0)
-    assert dual_norm_weight(Frequency(TruncationContext(3, 2), 5)) == (9.0, 9.0)
+    for (p, n, u), expected in [((2, 3, 0), (0.0, 1.0)), ((2, 3, 4), (2.0, 2.0)), ((3, 2, 5), (9.0, 9.0))]:
+        f = Frequency(TruncationContext(p, n), u)
+        assert (f.norm, f.weight) == expected
+    with pytest.raises(ValueError):
+        Frequency(TruncationContext(2, 2), 4)
 
 
 def test_frequency_reduced_fraction():
@@ -72,15 +64,14 @@ def test_norm_tables_match_scalar_definition():
 
 def test_character_values_trivial_and_roots():
     ctx2 = TruncationContext(2, 1)
-    assert character_value(Frequency(ctx2, 0), 1) == pytest.approx(1.0)
-    assert character_value(Frequency(ctx2, 1), 1) == pytest.approx(-1.0)
+    assert ctx2.character_column(0)[1] == pytest.approx(1.0)
+    assert ctx2.character_column(1)[1] == pytest.approx(-1.0)
     ctx3 = TruncationContext(3, 1)
-    val = character_value(Frequency(ctx3, 1), 1)
-    assert val == pytest.approx(np.exp(2j * np.pi / 3))
+    assert ctx3.character_column(1)[1] == pytest.approx(np.exp(2j * np.pi / 3))
     # unit modulus to machine precision
     ctx = TruncationContext(5, 3)
     for u in [1, 7, 50]:
-        assert abs(abs(character_value(Frequency(ctx, u), 13)) - 1.0) < 1e-14
+        assert abs(abs(ctx.character_column(u)[13]) - 1.0) < 1e-14
 
 
 def test_character_table_reduction():
@@ -88,32 +79,25 @@ def test_character_table_reduction():
     ctx = TruncationContext(3, 3)
     for u in [2, 5, 13]:
         for x in [1, 4, 20]:
-            assert character_value(Frequency(ctx, u), x) == pytest.approx(
-                character_value(Frequency(ctx, 1), (u * x) % ctx.N)
-            )
+            assert ctx.character_column(u)[x] == ctx.character_column(1)[(u * x) % ctx.N]
+            assert ctx.character_column(u)[x] == ctx.roots[(u * x) % ctx.N]
 
 
 def test_dual_add_examples():
+    # dual addition is index addition mod p^n: 1/2 + 1/2 = 0 at p=2, n=2
     ctx = TruncationContext(2, 2)
-    f = dual_add(Frequency(ctx, 2), Frequency(ctx, 2))
-    assert f.u == 0
+    half = Frequency(ctx, 2)
+    assert half.norm == 2.0 and (half.u + half.u) % ctx.N == 0
+    # it is the addition under which characters multiply: chi_(u1+u2) = chi_u1 chi_u2
+    for u1, u2 in [(1, 3), (2, 3), (3, 3)]:
+        prod = ctx.character_column(u1) * ctx.character_column(u2)
+        assert np.max(np.abs(ctx.character_column((u1 + u2) % ctx.N) - prod)) < 1e-15
     ctx32 = TruncationContext(3, 2)
-    # enumerate the order-3 subgroup {0, 3, 6}: 3 + 6 = 9 = 0 mod 9
+    # the order-3 subgroup {0, 3, 6} is the ball |xi|_3 <= 3: 3 + 6 = 9 = 0 mod 9
     sub = [0, 3, 6]
-    table = {(a, b): (a + b) % 9 for a in sub for b in sub}
-    assert all(v in sub for v in table.values())
-    assert dual_add(Frequency(ctx32, 3), Frequency(ctx32, 6)).u == 0
-    with pytest.raises(ValueError):
-        dual_add(Frequency(ctx, 1), Frequency(ctx32, 1))
-
-
-def test_point_index_validation():
-    ctx = TruncationContext(2, 2)
-    PointIndex(ctx, 3)
-    with pytest.raises(ValueError):
-        PointIndex(ctx, 4)
-    with pytest.raises(ValueError):
-        Frequency(ctx, 4)
+    assert sub == [u for u in range(ctx32.N) if ctx32.norms[u] <= 3.0]
+    assert all((a + b) % ctx32.N in sub for a in sub for b in sub)
+    assert (3 + 6) % ctx32.N == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -127,7 +111,7 @@ def test_ultrametric_and_peetre(pn, data):
     u1 = data.draw(st.integers(0, ctx.N - 1))
     u2 = data.draw(st.integers(0, ctx.N - 1))
     f1, f2 = Frequency(ctx, u1), Frequency(ctx, u2)
-    fsum = dual_add(f1, f2)
+    fsum = Frequency(ctx, (u1 + u2) % ctx.N)
     assert fsum.norm <= max(f1.norm, f2.norm) + 1e-12
     # Peetre with constant 1 for s >= 0 (ultrametric sharpening)
     s = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
@@ -151,7 +135,7 @@ def test_ultrametric_exhaustive_small():
 )
 def test_character_homomorphism(u, x1, x2):
     ctx = TruncationContext(3, 4)
-    f = Frequency(ctx, u)
-    lhs = character_value(f, (x1 + x2) % ctx.N)
-    rhs = character_value(f, x1) * character_value(f, x2)
+    chi = ctx.character_column(u)
+    lhs = chi[(x1 + x2) % ctx.N]
+    rhs = chi[x1] * chi[x2]
     assert abs(lhs - rhs) < 1e-12

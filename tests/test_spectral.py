@@ -1,5 +1,7 @@
 """Sobolev machinery, eigenvalue counting, heat evolution."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from padic_calc.spectral import (
     variable_coefficient_generator,
     weyl_slope_fit,
 )
-from padic_calc.symbols import Symbol, vladimirov_symbol
+from padic_calc.symbols import Symbol, seminorm, vladimirov_symbol
 from padic_calc.vladimirov import VladimirovSpec, multiplier_table
 
 
@@ -213,9 +215,38 @@ def test_heat_eigen_path_agrees_with_multiplier_path():
     times = [0.1, 1.0]
     orders = [0.0, 1.0, 2.0]
     fast = heat_evolve(sym, f0, times, orders)
-    dense = heat_evolve(Symbol(ctx, sym.table, "full"), f0, times, orders)
+    dense = heat_evolve(quantize(sym), f0, times, orders)
     assert dense.path == "eigen"
     assert np.max(np.abs(fast.norms - dense.norms)) < 1e-8 * max(1.0, np.max(fast.norms))
+
+
+def test_heat_multiplier_path_is_read_off_the_table():
+    ctx = TruncationContext(2, 5)
+    lam = multiplier_table(VladimirovSpec(1.0, 2), ctx, "integral")
+    f0 = random_function(ctx, rng())
+    traj = heat_evolve(Symbol(ctx, np.tile(lam, (ctx.N, 1))), f0, [0.0, 0.5], [0.0, 1.0])
+    assert traj.path == "multiplier"
+
+
+def test_stale_form_tag_in_json_is_ignored():
+    # an x-dependent table carrying the "multiplier" tag of an older file
+    ctx = TruncationContext(2, 4)
+    gen = rng()
+    lam = multiplier_table(VladimirovSpec(1.0, 2), ctx, "integral")
+    table = lam[None, :] * (1.0 + gen.uniform(0.0, 0.5, size=ctx.N))[:, None]
+    doc = json.loads(Symbol(ctx, table).to_json())
+    doc["form"] = "multiplier"
+    sym = Symbol.from_json(json.dumps(doc))
+    f0 = random_function(ctx, gen)
+    times, orders = [0.1, 1.0], [0.0, 1.0, 2.0]
+    traj = heat_evolve(sym, f0, times, orders)
+    dense = heat_evolve(quantize(sym), f0, times, orders)
+    assert traj.path == "eigen"
+    assert np.max(np.abs(traj.norms - dense.norms)) < 1e-8 * max(1.0, np.max(dense.norms))
+    tagged = seminorm(sym, "S_tilde", m=1.0, alpha_max=1, beta_max=1)
+    plain = seminorm(Symbol(ctx, sym.table.copy()), "S_tilde", m=1.0, alpha_max=1, beta_max=1)
+    assert np.array_equal(tagged.constants, plain.constants)
+    assert np.all(tagged.constants[:, 1] > 0.0)
 
 
 def test_variable_coefficient_generator_positive_spectrum():

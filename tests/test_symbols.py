@@ -1,5 +1,7 @@
 """Symbol forms, difference operators, seminorm sweeps, amplitudes."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,21 @@ def test_symbol_forms_expand_exactly():
     assert np.max(np.abs(rec - prof[None, :])) == 0.0
 
 
+def test_multiplier_values_read_off_row_equality():
+    ctx = TruncationContext(2, 3)
+    vals = np.arange(ctx.N, dtype=float) + 1.0
+    mult = Symbol.multiplier(ctx, vals)
+    assert np.array_equal(mult.multiplier_values(), vals)
+    assert np.array_equal(Symbol(ctx, np.tile(vals, (ctx.N, 1))).multiplier_values(), vals)
+    # the fast paths keep firing on gathers and elementwise maps of a multiplier
+    assert delta_plus(mult, 3).multiplier_values() is not None
+    assert Symbol.radial(ctx, np.arange(ctx.n + 1.0)).multiplier_values() is not None
+    table = mult.table.copy()
+    table[5, 2] += 1e-15
+    assert Symbol(ctx, table).multiplier_values() is None
+    assert random_symbol(ctx, rng()).multiplier_values() is None
+
+
 def test_radial_detection_rejects_generic_tables():
     ctx = TruncationContext(2, 3)
     sym = random_symbol(ctx, rng())
@@ -77,8 +94,9 @@ def test_radial_delta_examples():
     assert np.max(np.abs(radial_delta(const, 1).table)) == 0.0
     linear = Symbol.radial(ctx, np.arange(ctx.n + 1, dtype=float))
     d = radial_delta(linear, 1)
-    assert d.valid_shell_max == ctx.n - 1
     prof = d.radial_profile()
+    # the shells beyond n - alpha, where the difference would look past the truncation, are zeroed
+    assert np.all(prof[:, ctx.n :] == 0.0)
     assert np.max(np.abs(prof[:, 1 : ctx.n] - 1.0)) == 0.0
     # exponential profile p^(j s): one difference multiplies by (p^s - 1)
     s = 1.0
@@ -312,6 +330,7 @@ def test_symbol_json_round_trip():
     ctx = TruncationContext(2, 2)
     sym = random_symbol(ctx, rng())
     again = Symbol.from_json(sym.to_json())
+    assert sorted(json.loads(sym.to_json())) == ["im", "n", "p", "re"]
     assert again.ctx == ctx
     assert np.max(np.abs(again.table - sym.table)) == 0.0
 
@@ -357,7 +376,7 @@ def test_product_of_symbols_stays_in_summed_order_class():
     ctx = TruncationContext(2, 6)
     s1 = vladimirov_symbol(VladimirovSpec(1.0, 2), ctx)
     s2 = vladimirov_symbol(VladimirovSpec(0.5, 2), ctx)
-    prod = Symbol(ctx, s1.table * s2.table, "multiplier")
+    prod = Symbol(ctx, s1.table * s2.table)
     rep = seminorm(prod, "S", m=1.5, rho=1.0, delta=0.0, alpha_max=2, beta_max=1)
     assert np.all(np.isfinite(rep.constants))
     assert rep.constants[0, 0] <= 1.0 + 1e-9
