@@ -31,7 +31,7 @@ from .matrix_algebra import EllipticityMarginError, equivalence_check, wiener_ex
 from .spectral import (
     counting_function,
     heat_evolve,
-    op_norm_sobolev,
+    op_norm_sobolev_multiplier,
     variable_coefficient_generator,
     weyl_slope_fit,
 )
@@ -139,8 +139,24 @@ def write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _require_size(cfg: ExperimentConfig, cap: int) -> TruncationContext:
+#: Largest p^n each experiment accepts; a larger level exits 3 (resource cap).
+CAPS = {
+    "transform-bench": 4**7,
+    "vladimirov-eigen": 2**12,
+    "seminorm-sweep": 2**9,
+    "compose-check": 2**7,
+    "schur-sweep": 2**9,
+    "wiener": 2**9,
+    "parametrix": 2**8,
+    "sobolev-bound": 2**20,  # O(N) closed form; p=2, n=20: about 2.2 s and 368 MB peak RSS (2-vCPU Xeon)
+    "weyl-count": 2**14,
+    "heat": 2**10,
+}
+
+
+def _require_size(cfg: ExperimentConfig) -> TruncationContext:
     N = cfg.p**cfg.n
+    cap = CAPS[cfg.experiment]
     if N > cap:
         raise ResourceCapError(f"experiment '{cfg.experiment}' caps p^n at {cap}, got {N}")
     return TruncationContext(cfg.p, cfg.n)
@@ -191,7 +207,7 @@ def _order(key: str, s: float, cfg: ExperimentConfig) -> float:
 
 
 def _run_transform_bench(cfg, rng, out):
-    ctx = _require_size(cfg, 4**7)
+    ctx = _require_size(cfg)
     trials = _param(cfg.params, "trials", 20, integer=True, low=0)
     rows = [("trial", "max_fast_vs_naive", "roundtrip_error", "plancherel_gap")]
     t0 = time.perf_counter()
@@ -212,7 +228,7 @@ def _run_transform_bench(cfg, rng, out):
 
 
 def _run_vladimirov_eigen(cfg, rng, out):
-    ctx = _require_size(cfg, 2**12)
+    ctx = _require_size(cfg)
     if ctx.n < 1:
         raise ConfigError("vladimirov-eigen needs level n >= 1 to have a nonzero shell")
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
@@ -275,7 +291,7 @@ def _run_vladimirov_eigen(cfg, rng, out):
 
 
 def _run_seminorm_sweep(cfg, rng, out):
-    ctx = _require_size(cfg, 2**9)
+    ctx = _require_size(cfg)
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     family = _choice(cfg.params, "family", "S_tilde", FAMILIES)
     m = _param(cfg.params, "m", s)
@@ -291,7 +307,7 @@ def _run_seminorm_sweep(cfg, rng, out):
 
 
 def _run_compose_check(cfg, rng, out):
-    ctx = _require_size(cfg, 2**7)
+    ctx = _require_size(cfg)
     trials = _param(cfg.params, "trials", 50, integer=True, low=0)
     worst = 0.0
     for _ in range(trials):
@@ -306,7 +322,7 @@ def _run_compose_check(cfg, rng, out):
 
 
 def _run_schur_sweep(cfg, rng, out):
-    ctx = _require_size(cfg, 2**9)
+    ctx = _require_size(cfg)
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     m = _param(cfg.params, "m", s)
     r_max = _param(cfg.params, "r_max", 4, integer=True, low=0)
@@ -334,7 +350,7 @@ def _smooth_bump(ctx, rng, decay: float, scale: float) -> np.ndarray:
 
 
 def _run_wiener(cfg, rng, out):
-    ctx = _require_size(cfg, 2**9)
+    ctx = _require_size(cfg)
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     threshold = _param(cfg.params, "threshold", 1, integer=True, low=0, high=cfg.n)
     eps_rel = _param(cfg.params, "perturbation", 0.1)
@@ -363,7 +379,7 @@ def _run_wiener(cfg, rng, out):
 
 
 def _run_parametrix(cfg, rng, out):
-    ctx = _require_size(cfg, 2**8)
+    ctx = _require_size(cfg)
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     threshold = _param(cfg.params, "threshold", 1, integer=True, low=0, high=cfg.n)
     eps_rel = _param(cfg.params, "perturbation", 0.1)
@@ -385,7 +401,7 @@ def _run_parametrix(cfg, rng, out):
 
 
 def _run_sobolev_bound(cfg, rng, out):
-    ctx = _require_size(cfg, 2**10)
+    ctx = _require_size(cfg)
     s_values = _float_list(cfg.params, "s_values", [1.0], positive=True)
     s_values = [_order("s_values", s, cfg) for s in s_values]
     t_values = _float_list(cfg.params, "t_values", [-1.0, 0.0, 2.0])
@@ -399,18 +415,17 @@ def _run_sobolev_bound(cfg, rng, out):
     rows = [("s", "t", "norm", "norm_next_level", "rel_shift")]
     for s in s_values:
         spec = VladimirovSpec(s, cfg.p)
-        A = quantize(vladimirov_symbol(spec, ctx))
-        A2 = quantize(vladimirov_symbol(spec, fine))
+        lam, lam_fine = multiplier_table(spec, ctx), multiplier_table(spec, fine)
         for t in t_values:
-            v1 = op_norm_sobolev(A, t, s)
-            v2 = op_norm_sobolev(A2, t, s)
+            v1 = op_norm_sobolev_multiplier(lam, ctx, t, s)
+            v2 = op_norm_sobolev_multiplier(lam_fine, fine, t, s)
             rows.append((s, t, v1, v2, abs(v1 - v2) / max(v2, 1e-300)))
     write_csv(out / "sobolev_bound.csv", rows)
     return [out / "sobolev_bound.csv"]
 
 
 def _run_weyl_count(cfg, rng, out):
-    ctx = _require_size(cfg, 2**14)
+    ctx = _require_size(cfg)
     s_values = _float_list(cfg.params, "s_values", [0.5, 1.0, 2.0], positive=True)
     s_values = [_order("s_values", s, cfg) for s in s_values]
     formula = _choice(cfg.params, "formula", "integral", FORMULA_TAGS)
@@ -435,11 +450,15 @@ def _run_weyl_count(cfg, rng, out):
 
 
 def _run_heat(cfg, rng, out):
-    ctx = _require_size(cfg, 2**10)
+    ctx = _require_size(cfg)
     orders_s = _float_list(cfg.params, "orders_s", [1.0, 0.5], positive=True)
     orders_s = [_order("orders_s", s, cfg) for s in orders_s]
     times = _float_list(cfg.params, "times", [0.0, 0.1, 1.0], low=0.0)
     sobolev_orders = _float_list(cfg.params, "sobolev_orders", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    with np.errstate(over="ignore"):
+        bad = [k for k in sobolev_orders if not np.isfinite(np.power(float(cfg.p) ** cfg.n, 2.0 * k))]
+    if bad:
+        raise ConfigError(f"param 'sobolev_orders': <xi>^(2k) overflows at level {cfg.n} for k={bad[0]}")
     lower = _param(cfg.params, "coefficient_floor", 1.0)
     f0 = LevelFunction(ctx, rng.normal(size=ctx.N) + 1j * rng.normal(size=ctx.N))
     terms = [(lower + rng.uniform(0.0, 1.0, size=ctx.N), s) for s in orders_s]

@@ -1,4 +1,12 @@
-"""Sobolev norms, operator bounds, eigen-decompositions, counting, heat flow."""
+"""Sobolev norms, operator bounds, eigen-decompositions, counting, heat flow.
+
+The ``H^(t+m) -> H^t`` operator norm has two routes.  A multiplier (an
+x-independent symbol, such as ``D^s``) is diagonalized exactly by the
+transform, so ``op_norm_sobolev_multiplier`` reads the norm off its
+eigenvalue vector in closed form, in O(N) time and memory.  Any other
+operator goes through ``op_norm_sobolev``: the dense frequency-basis
+matrix, conjugated by the weights, and its largest singular value.
+"""
 
 from __future__ import annotations
 
@@ -93,6 +101,22 @@ def op_norm_sobolev(A: OperatorMatrix, s: float, m: float) -> float:
     w = A.ctx.weights
     conj = np.power(w, s)[:, None] * M * np.power(w, -(s + m))[None, :]
     return float(np.linalg.norm(conj, 2))
+
+
+def op_norm_sobolev_multiplier(lam: np.ndarray, ctx: TruncationContext, t: float, m: float) -> float:
+    """H^(t+m) -> H^t norm of the multiplier with eigenvalues ``lam``, in O(N).
+
+    The transform diagonalizes a multiplier exactly, so the conjugated
+    operator ``J_t A J_-(t+m)`` is the diagonal ``<xi>^t lam <xi>^-(t+m)``
+    and its spectral norm is the largest modulus on that diagonal.  This
+    agrees with ``op_norm_sobolev(quantize(Symbol.multiplier(ctx, lam)), t, m)``
+    without forming the N x N matrix.
+    """
+    lam = np.asarray(lam)
+    if lam.shape != (ctx.N,):
+        raise ValueError(f"multiplier needs {ctx.N} eigenvalues, got shape {lam.shape}")
+    w = ctx.weights
+    return float(np.max(np.power(w, t) * np.abs(lam) * np.power(w, -(t + m))))
 
 
 @dataclass

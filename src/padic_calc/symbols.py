@@ -239,12 +239,22 @@ def _ratio(full: float, sub: float) -> float:
 
 
 def _xi_difference_sups(T: np.ndarray) -> np.ndarray:
-    """``out[eta, xi] = max_x |T[x, xi + eta] - T[x, xi]|``; row eta = 0 stays 0."""
+    """``out[eta, xi] = max_x |T[x, xi + eta] - T[x, xi]|``; row eta = 0 stays 0.
+
+    The shift by eta is two contiguous slice subtractions into one reused
+    buffer.  Only eta <= N/2 is computed: ``|a - b| == |b - a|`` exactly,
+    so row N - eta is row eta rolled by eta.
+    """
     N = T.shape[1]
-    cols = np.arange(N)
     out = np.zeros((N, N))
-    for ue in range(1, N):
-        out[ue] = np.max(np.abs(T[:, (cols + ue) % N] - T), axis=0)
+    diff = np.empty_like(T)
+    mags = np.empty(T.shape)
+    for ue in range(1, N // 2 + 1):
+        np.subtract(T[:, ue:], T[:, : N - ue], out=diff[:, : N - ue])
+        np.subtract(T[:, :ue], T[:, N - ue :], out=diff[:, N - ue :])
+        np.max(np.abs(diff, out=mags), axis=0, out=out[ue])
+        if ue != N - ue:
+            out[N - ue] = np.roll(out[ue], ue)
     return out
 
 

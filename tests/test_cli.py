@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from padic_calc.calculus import quantize
 from padic_calc.cli import (
     EXIT_CAP,
     EXIT_CONFIG,
@@ -15,6 +16,10 @@ from padic_calc.cli import (
     fmt,
     main,
 )
+from padic_calc.core import TruncationContext
+from padic_calc.spectral import op_norm_sobolev
+from padic_calc.symbols import vladimirov_symbol
+from padic_calc.vladimirov import VladimirovSpec
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -104,6 +109,8 @@ BAD_ORDERS = (1e-300, 1e6, 1000.0)
         ("parametrix", 2, {"perturbation_decay": -1e6}),
         # Sobolev weights <xi>^t or <xi>^-(t+s) that overflow at the fine level
         *[("sobolev-bound", 2, {"t_values": [t]}) for t in (1e6, -1e6, 700.0)],
+        # heat: <xi>^(2k) overflows at the top weight p^n
+        *[("heat", 2, {"sobolev_orders": [k]}) for k in (1e6, 700.0)],
     ],
 )
 def test_bad_params_exit_config(tmp_path, capsys, experiment, n, params):
@@ -192,20 +199,23 @@ def test_seed_and_out_overrides(tmp_path, capsys):
     assert doc["max_error"] < 1e-10
 
 
+#: a level at which every experiment runs in well under a second
+SMALL_N = {
+    "transform-bench": 4,
+    "vladimirov-eigen": 4,
+    "seminorm-sweep": 4,
+    "compose-check": 3,
+    "schur-sweep": 4,
+    "wiener": 4,
+    "parametrix": 4,
+    "sobolev-bound": 4,
+    "weyl-count": 6,
+    "heat": 4,
+}
+
+
 def test_every_experiment_runs_small(tmp_path, capsys):
-    small_n = {
-        "transform-bench": 4,
-        "vladimirov-eigen": 4,
-        "seminorm-sweep": 4,
-        "compose-check": 3,
-        "schur-sweep": 4,
-        "wiener": 4,
-        "parametrix": 4,
-        "sobolev-bound": 4,
-        "weyl-count": 6,
-        "heat": 4,
-    }
-    for name, n in small_n.items():
+    for name, n in SMALL_N.items():
         cfg = write_config(
             tmp_path,
             {"experiment": name, "p": 2, "n": n, "seed": 5, "output_dir": str(tmp_path / name)},
@@ -214,3 +224,58 @@ def test_every_experiment_runs_small(tmp_path, capsys):
         assert main(["run", "--config", str(cfg)]) == EXIT_OK, name
         assert (tmp_path / name / "manifest.json").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL_N))
+def test_every_experiment_reproduces_its_artifacts(tmp_path, capsys, experiment):
+    outs = []
+    for tag in ("one", "two"):
+        cfg = write_config(
+            tmp_path,
+            {"experiment": experiment, "p": 2, "n": SMALL_N[experiment], "seed": 13, "output_dir": str(tmp_path / tag)},
+            f"{tag}.json",
+        )
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        outs.append(tmp_path / tag)
+    capsys.readouterr()
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    compared = [name for name in names if name not in ("manifest.json", "transform_bench_timing.json")]
+    assert compared  # every experiment writes at least one numeric artifact
+    for name in compared:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_sobolev_bound_matches_dense_route(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            "experiment": "sobolev-bound",
+            "p": 3,
+            "n": 3,
+            "output_dir": str(tmp_path / "out"),
+            "params": {"s_values": [0.5, 1.5], "t_values": [-1.0, 2.0]},
+        },
+    )
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    rows = (tmp_path / "out" / "sobolev_bound.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    for row in rows:
+        s, t, norm, norm_next, _ = map(float, row.split(","))
+        for n, got in ((3, norm), (4, norm_next)):
+            A = quantize(vladimirov_symbol(VladimirovSpec(s, 3), TruncationContext(3, n)))
+            assert got == pytest.approx(op_norm_sobolev(A, t, s), rel=1e-10)
+
+
+@pytest.mark.parametrize("n,code", [(12, EXIT_OK), (21, EXIT_CAP)])
+def test_sobolev_bound_cap(tmp_path, capsys, n, code):
+    cfg = write_config(
+        tmp_path, {"experiment": "sobolev-bound", "p": 2, "n": n, "output_dir": str(tmp_path / "out")}
+    )
+    assert main(["run", "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_CAP:
+        assert err.startswith("resource cap:") and str(2**20) in err
+    else:
+        assert (tmp_path / "out" / "sobolev_bound.csv").exists()

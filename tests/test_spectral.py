@@ -17,6 +17,7 @@ from padic_calc.spectral import (
     heat_evolve,
     norm_equivalence_check,
     op_norm_sobolev,
+    op_norm_sobolev_multiplier,
     sobolev_norm,
     variable_coefficient_generator,
     weyl_slope_fit,
@@ -92,6 +93,28 @@ def test_op_norm_level_stability_for_vladimirov():
         A = quantize(vladimirov_symbol(VladimirovSpec(1.0, 2), ctx))
         vals[n] = op_norm_sobolev(A, 0.0, 1.0)
     assert abs(vals[5] - vals[6]) / vals[6] < 0.05
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (2, 8), (3, 4), (5, 3)])
+def test_op_norm_multiplier_closed_form_matches_dense_svd(p, n):
+    ctx = TruncationContext(p, n)
+    for s in (0.5, 1.0, 2.0):
+        spec = VladimirovSpec(s, p)
+        lam = multiplier_table(spec, ctx)
+        A = quantize(vladimirov_symbol(spec, ctx))
+        for t in (-1.0, 0.0, 2.0):
+            assert op_norm_sobolev_multiplier(lam, ctx, t, s) == pytest.approx(op_norm_sobolev(A, t, s), rel=1e-10)
+
+
+def test_op_norm_multiplier_complex_eigenvalues_and_length_check():
+    ctx = TruncationContext(3, 3)
+    gen = rng()
+    lam = (gen.normal(size=ctx.N) + 1j * gen.normal(size=ctx.N)) * ctx.weights**1.5
+    A = quantize(Symbol.multiplier(ctx, lam))
+    for t in (-1.0, 0.0, 2.0):
+        assert op_norm_sobolev_multiplier(lam, ctx, t, 1.5) == pytest.approx(op_norm_sobolev(A, t, 1.5), rel=1e-10)
+    with pytest.raises(ValueError):
+        op_norm_sobolev_multiplier(np.ones(7), TruncationContext(2, 3), 0.0, 1.0)
 
 
 def test_norm_equivalence_for_multiplier():

@@ -9,6 +9,7 @@ from padic_calc.core import Frequency, ResourceCapError, TruncationContext
 from padic_calc.fourier import dft_axis
 from padic_calc.symbols import (
     Amplitude,
+    _xi_difference_sups,
     Symbol,
     amplitude_to_operator,
     amplitude_to_symbol,
@@ -178,6 +179,25 @@ def test_partial_x_remark_bound():
     # the shift factor never exceeds the eigenvalue by more than this margin
     margin = float(ctx.p) ** h / (float(ctx.p) ** h - spec.additive_constant)
     assert observed <= margin * (1 + 1e-9)
+
+
+def _xi_difference_sups_oracle(T):
+    """One modular column gather per eta: the reference for the slice kernel."""
+    N = T.shape[1]
+    cols = np.arange(N)
+    out = np.zeros((N, N))
+    for ue in range(1, N):
+        out[ue] = np.max(np.abs(T[:, (cols + ue) % N] - T), axis=0)
+    return out
+
+
+@pytest.mark.parametrize("N", [81, 125, 256])
+@pytest.mark.parametrize("rows", ["one", "N"])
+def test_xi_difference_sups_bit_identical_to_gather(N, rows):
+    gen = rng()
+    shape = (1 if rows == "one" else N, N)
+    T = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    assert np.array_equal(_xi_difference_sups(T), _xi_difference_sups_oracle(T))
 
 
 def test_seminorm_trivial_symbol():
