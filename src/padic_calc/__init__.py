@@ -16,7 +16,7 @@ from .core import (
     ResourceCapError,
 )
 from .fourier import LevelFunction, SpectralFunction, forward, inverse, l2_norm, refine
-from .vladimirov import VladimirovSpec, apply_integral, eigenvalue_oracle, apply_multiplier, bessel_js
+from .vladimirov import VladimirovSpec, apply_integral, eigenvalue_oracle, bessel_js
 from .operator_matrix import OperatorMatrix
 from .symbols import Symbol, Amplitude, SeminormReport
 from .calculus import quantize, symbol_of, compose_symbols, adjoint_symbol, transpose_symbol

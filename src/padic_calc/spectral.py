@@ -294,7 +294,8 @@ def heat_evolve(generator, f0: LevelFunction, times, orders, eig_cap: int = DENS
     A symbol whose rows are all equal (a multiplier) takes the exact
     spectral path ``fhat(t, xi) = exp(-t lambda(xi)) fhat(0, xi)``; any
     other symbol or operator matrix goes through the dense
-    eigen-decomposition.
+    eigen-decomposition, which raises ``ConsistencyError`` when the
+    propagated norms are not finite.
     """
     times = [float(t) for t in times]
     orders = [float(k) for k in orders]
@@ -318,16 +319,22 @@ def heat_evolve(generator, f0: LevelFunction, times, orders, eig_cap: int = DENS
     coords = np.linalg.solve(dec.vectors, f0.values)
     norms = np.zeros((len(times), len(orders)))
     mags = np.zeros((len(times), ctx.N))
-    for i, t in enumerate(times):
-        modal = np.exp(-t * dec.values) * coords
-        mags[i] = np.abs(modal)
-        ft = LevelFunction(ctx, dec.vectors @ modal)
-        for j, k in enumerate(orders):
-            norms[i, j] = sobolev_norm(ft, k)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        for i, t in enumerate(times):
+            modal = np.exp(-t * dec.values) * coords
+            mags[i] = np.abs(modal)
+            ft = LevelFunction(ctx, dec.vectors @ modal)
+            for j, k in enumerate(orders):
+                norms[i, j] = sobolev_norm(ft, k)
+    if not np.all(np.isfinite(norms)):
+        # a residual-certified eigensolve can still be too inexact for exp(-t lambda)
+        raise ConsistencyError(
+            f"eigen route gave non-finite Sobolev norms (eigenvalue moduli up to {np.max(np.abs(dec.values)):.3e})"
+        )
     return HeatTrajectory(times, orders, norms, mags, "eigen", eigenvalues=dec.values)
 
 
-def variable_coefficient_generator(ctx: TruncationContext, terms, formula: str = "integral") -> Symbol:
+def variable_coefficient_generator(ctx: TruncationContext, terms) -> Symbol:
     """Symbol of ``sum_i a_i(x) D^{s_i}``: rows scale the eigenvalue tables.
 
     ``terms`` is an iterable of (coefficient sample vector, order s_i).
@@ -337,6 +344,6 @@ def variable_coefficient_generator(ctx: TruncationContext, terms, formula: str =
         a = np.asarray(a_vals, dtype=np.complex128)
         if a.shape != (ctx.N,):
             raise ValueError(f"coefficient needs {ctx.N} samples, got {a.shape}")
-        lam = multiplier_table(VladimirovSpec(float(s), ctx.p), ctx, formula)
+        lam = multiplier_table(VladimirovSpec(float(s), ctx.p), ctx)
         table += a[:, None] * lam[None, :]
     return Symbol(ctx, table)

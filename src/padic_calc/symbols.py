@@ -148,16 +148,10 @@ class SeminormReport:
             }
         )
 
-    def max_constant(self) -> float:
-        return float(np.max(self.constants))
 
-    def max_growth(self) -> float:
-        return float(np.max(self.growth_ratio))
-
-
-def vladimirov_symbol(spec: VladimirovSpec, ctx: TruncationContext, formula: str = "integral") -> Symbol:
+def vladimirov_symbol(spec: VladimirovSpec, ctx: TruncationContext) -> Symbol:
     """The D^s eigenvalue table as a multiplier symbol."""
-    return Symbol.multiplier(ctx, multiplier_table(spec, ctx, formula))
+    return Symbol.multiplier(ctx, multiplier_table(spec, ctx))
 
 
 def delta_plus(sym: Symbol, eta) -> Symbol:
@@ -191,7 +185,7 @@ def radial_delta(sym: Symbol, alpha: int) -> Symbol:
 
 def _dx(cols: np.ndarray, ctx: TruncationContext, beta: float) -> np.ndarray:
     """D^beta along axis 0 of an (N, k) array: each column is a function of x."""
-    lam = multiplier_table(VladimirovSpec(beta, ctx.p), ctx, "integral")
+    lam = multiplier_table(VladimirovSpec(beta, ctx.p), ctx)
     hat = dft_axis(cols, ctx, -1, axis=0) / ctx.N
     return dft_axis(lam[:, None] * hat, ctx, +1, axis=0)
 

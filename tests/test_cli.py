@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from padic_calc.calculus import quantize
@@ -13,10 +14,12 @@ from padic_calc.cli import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
+    _smooth_bump,
     fmt,
     main,
 )
 from padic_calc.core import TruncationContext
+from padic_calc.fourier import dft
 from padic_calc.spectral import op_norm_sobolev
 from padic_calc.symbols import vladimirov_symbol
 from padic_calc.vladimirov import VladimirovSpec
@@ -279,3 +282,86 @@ def test_sobolev_bound_cap(tmp_path, capsys, n, code):
         assert err.startswith("resource cap:") and str(2**20) in err
     else:
         assert (tmp_path / "out" / "sobolev_bound.csv").exists()
+
+
+def test_sobolev_bound_is_exact_at_the_cap_level(tmp_path, capsys):
+    # the H^s -> L^2 norm of D^s is max_j (p^(js) - c) / p^(js) = 1 - c p^(-ns), reached on the top shell
+    cfg = write_config(
+        tmp_path,
+        {
+            "experiment": "sobolev-bound",
+            "p": 2,
+            "n": 20,
+            "output_dir": str(tmp_path / "out"),
+            "params": {"s_values": [2.9], "t_values": [0.0]},
+        },
+    )
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    (row,) = (tmp_path / "out" / "sobolev_bound.csv").read_text().splitlines()[1:]
+    _, _, norm, norm_next, _ = map(float, row.split(","))
+    c = VladimirovSpec(2.9, 2).additive_constant
+    assert abs(norm - (1.0 - c * 2.0 ** (-20 * 2.9))) <= 1e-12
+    assert abs(norm_next - (1.0 - c * 2.0 ** (-21 * 2.9))) <= 1e-12
+
+
+def test_vladimirov_eigen_is_level_independent_at_large_order(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {"experiment": "vladimirov-eigen", "p": 2, "n": 12, "output_dir": str(tmp_path / "out"), "params": {"s": 4.0}},
+    )
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "out" / "vladimirov_eigen.json").read_text())
+    assert summary["max_level_shift"] == 0.0
+    assert summary["matched_convention"] == "neither"
+
+
+@pytest.mark.parametrize("experiment", ["vladimirov-eigen", "weyl-count"])
+def test_raised_caps(tmp_path, capsys, experiment):
+    cfg = write_config(tmp_path, {"experiment": experiment, "p": 2, "n": 21, "output_dir": str(tmp_path / "out")})
+    assert main(["run", "--config", str(cfg)]) == EXIT_CAP
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("resource cap:") and str(2**20) in err and "\n" not in err
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_heat_non_finite_eigen_route_is_a_numeric_failure(tmp_path, capsys, seed):
+    # generator entries up to 4^100: the eigensolve passes its residual check, exp(-t lambda) does not survive
+    cfg = write_config(
+        tmp_path,
+        {
+            "experiment": "heat",
+            "p": 2,
+            "n": 2,
+            "seed": seed,
+            "output_dir": str(tmp_path / "out"),
+            "params": {"orders_s": [100.0]},
+        },
+    )
+    assert main(["run", "--config", str(cfg)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("numeric failure:") and "\n" not in err
+
+
+def smooth_bump_loop(ctx, rng, decay, scale):
+    """The per-frequency loop that ``_smooth_bump`` replaced, kept as its oracle."""
+    coeffs = np.zeros(ctx.N, dtype=np.complex128)
+    for u in range(1, ctx.N):
+        j = ctx.n - int(ctx.valuations[u])
+        coeffs[u] = float(ctx.p) ** (-decay * j) * (rng.normal() + 1j * rng.normal())
+    neg = (-np.arange(ctx.N)) % ctx.N
+    coeffs = (coeffs + np.conj(coeffs[neg])) / 2.0
+    vals = dft(coeffs, ctx, +1).real
+    peak = np.max(np.abs(vals))
+    return scale * vals / peak if peak > 0 else vals
+
+
+@pytest.mark.parametrize("p,n", [(2, 7), (3, 5), (5, 3), (2, 9)])
+@pytest.mark.parametrize("decay", [6.0, 8.0])
+def test_smooth_bump_bit_identical_to_loop(p, n, decay):
+    ctx = TruncationContext(p, n)
+    rng_fast, rng_loop = np.random.default_rng(7), np.random.default_rng(7)
+    fast = _smooth_bump(ctx, rng_fast, decay, 0.3)
+    assert np.array_equal(fast, smooth_bump_loop(ctx, rng_loop, decay, 0.3))
+    assert rng_fast.normal() == rng_loop.normal()  # both consumed the same stream

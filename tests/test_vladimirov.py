@@ -4,7 +4,15 @@ Frozen regression constants below were produced by the singular-sum
 oracle itself (ratio of apply_integral on characters) and then checked
 against the closed form |xi|^s - c with c = (1-1/p)/(1-p^-(s+1)), which
 the oracle reproduces to machine precision once n >= log_p|xi|.
+
+The ``integral`` table is the closed form.  Two routes that share no
+code with it check it: the defining kernel sum summed shell by shell in
+60-digit ``mpmath``, and the kernel transform ``(sum K - N Khat) / |gamma|``
+that the package once used, which is accurate only at small levels
+because its two terms cancel.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,9 +22,9 @@ from padic_calc.fourier import LevelFunction, SpectralFunction, forward, inverse
 from padic_calc.vladimirov import (
     VladimirovSpec,
     apply_integral,
-    apply_multiplier,
     bessel_js,
     eigenvalue_oracle,
+    kernel_vector,
     multiplier_table,
 )
 
@@ -152,7 +160,7 @@ def test_multiplier_route_agrees_with_integral_route():
     gen = rng()
     f = LevelFunction(ctx, gen.normal(size=ctx.N) + 1j * gen.normal(size=ctx.N))
     via_integral = apply_integral(spec, f).values
-    via_multiplier = inverse(apply_multiplier(spec, forward(f), "integral")).values
+    via_multiplier = inverse(SpectralFunction(ctx, forward(f).coeffs * multiplier_table(spec, ctx))).values
     assert np.max(np.abs(via_integral - via_multiplier)) < 1e-10 * max(1.0, np.max(np.abs(via_integral)))
 
 
@@ -184,3 +192,76 @@ def test_bessel_js_identities():
     delta[u] = 1.0
     out = bessel_js(2.0, SpectralFunction(ctx, delta))
     assert out.coeffs[u] == pytest.approx(16.0)
+
+
+def kernel_fft_table(spec, ctx):
+    """``(sum_z K[z] - N Khat[u]) / |gamma|`` with one FFT: the kernel-transform route."""
+    K = kernel_vector(spec, ctx)
+    lam = (K.sum() - np.fft.fft(K)) / spec.norm_scale  # N Khat = fft(K); K is even, so the sign is moot
+    assert np.max(np.abs(lam.imag)) <= 1e-12 * np.max(np.abs(lam.real))
+    lam = lam.real.copy()
+    lam[0] = 0.0
+    return lam
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3)])
+@pytest.mark.parametrize("s", [1e-3, 0.5, 1.0, 2.9, 4.0])
+def test_closed_form_matches_kernel_transform_at_small_levels(p, n, s):
+    ctx = TruncationContext(p, n)
+    spec = VladimirovSpec(s, p)
+    lam = multiplier_table(spec, ctx)
+    oracle = kernel_fft_table(spec, ctx)
+    assert lam[0] == 0.0
+    # the transform route subtracts two terms of size sum K / |gamma|: judge it on that scale
+    scale = kernel_vector(spec, ctx).sum() / spec.norm_scale
+    assert np.max(np.abs(lam - oracle)) <= 1e-12 * scale
+
+
+def shell_character_sum(p, n, m, v):
+    """``sum chi(xi z)`` over the z of valuation v in Z / p^n, for |xi| = p^m, m >= 1.
+
+    ``xi z = a b / p^(m - v)`` with a, b units: the sum over b is a
+    Ramanujan sum, ``count`` when m <= v, ``-count / (p - 1)`` when
+    m = v + 1, and 0 when m >= v + 2.
+    """
+    count = (p - 1) * p ** (n - 1 - v)
+    if m <= v:
+        return count
+    return -(p ** (n - 1 - v)) if m == v + 1 else 0
+
+
+@pytest.mark.parametrize("p,n,m", [(2, 5, 1), (2, 5, 3), (3, 4, 2), (3, 4, 4), (5, 3, 2)])
+def test_shell_character_sums_match_direct_sums(p, n, m):
+    ctx = TruncationContext(p, n)
+    chi = ctx.character_column(p ** (n - m))  # a frequency of norm p^m
+    for v in range(n):
+        direct = chi[1:][ctx.valuations[1:] == v].sum()
+        assert direct == pytest.approx(shell_character_sum(p, n, m, v), abs=1e-9)
+
+
+@pytest.mark.parametrize("p,n", [(2, 20), (3, 12), (5, 8)])
+@pytest.mark.parametrize("s", [1e-3, 0.5, 1.0, 2.9, 4.0])
+def test_integral_table_matches_mpmath_kernel_sum_on_every_shell(p, n, s):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    ctx = TruncationContext(p, n)
+    lam = multiplier_table(VladimirovSpec(s, p), ctx)
+    P, S = mp.mpf(p), mp.mpf(s)
+    norm_scale = (1 - P ** (-S - 1)) / (P**S - 1)  # |gamma_p|
+    exact = [0.0]
+    for m in range(1, n + 1):
+        # sum_z K[z] (1 - chi(xi z)) / |gamma|, grouped by the valuation v of z; v >= m adds 0
+        total = mp.mpf(0)
+        for v in range(m):
+            count = (p - 1) * p ** (n - 1 - v)
+            kernel = P ** (v * (S + 1)) / P**n
+            total += kernel * (count - shell_character_sum(p, n, m, v))
+        exact.append(float(total / norm_scale))
+    exact = np.array(exact)
+    assert lam[0] == 0.0
+    rel = np.abs(lam[1:] - exact[ctx.shells[1:]]) / np.abs(exact[ctx.shells[1:]])
+    assert np.max(rel) <= 1e-12
+    # and the reference is the closed form, computed independently
+    for m in (1, n):
+        assert exact[m] == pytest.approx(math.pow(p, m * s) - VladimirovSpec(s, p).additive_constant, rel=1e-12)
