@@ -28,6 +28,11 @@ from .operator_matrix import (
 )
 from .symbols import Symbol
 
+#: smallest accepted min |sigma - shift| for the reciprocal_shift resolvent
+RECIPROCAL_GUARD = 1e-8
+#: tail norms at or below this floor count as 0 in the decay fit
+DECAY_FLOOR = 1e-13
+
 
 class NotEllipticError(ValueError):
     """The symbol fails the lower bound needed for a parametrix."""
@@ -83,16 +88,6 @@ class EllipticityReport:
     constant: float
     shell_mins: np.ndarray  # min of |sigma| / <xi>^order per shell 0..n
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "order": self.order,
-                "threshold": self.threshold,
-                "constant": self.constant,
-                "shell_mins": self.shell_mins.tolist(),
-            }
-        )
-
 
 def ellipticity_report(sym: Symbol, order: float, n_max: int | None = None) -> EllipticityReport | None:
     """Smallest threshold exponent N <= n_max with a positive shell bound.
@@ -146,10 +141,10 @@ class ParametrixReport:
         )
 
 
-def _decay_order(cutoffs, norms, p, floor=1e-13) -> float:
+def _decay_order(cutoffs, norms, p) -> float:
     """Least-squares decay exponent of ``norms ~ p^(-order * l)``."""
-    vals = np.maximum(np.asarray(norms, dtype=float), floor)
-    if np.all(vals <= floor):
+    vals = np.maximum(np.asarray(norms, dtype=float), DECAY_FLOOR)
+    if np.all(vals <= DECAY_FLOOR):
         return np.inf
     x = np.asarray(cutoffs, dtype=float)
     y = np.log(vals) / np.log(p)
@@ -239,7 +234,6 @@ def analytic_calculus(
     exponent: int = 2,
     scale: float = 1.0,
     shift: complex = 0.0,
-    guard: float = 1e-8,
     r_values: tuple = (0, 1, 2),
 ) -> tuple[Symbol, AnalyticCalcReport]:
     """Apply an analytic function to the symbol and diagnose the defect.
@@ -260,8 +254,8 @@ def analytic_calculus(
         fA = scipy.linalg.expm(scale * A)
     elif function == "reciprocal_shift":
         gap = np.min(np.abs(sym.table - shift))
-        if gap < guard:
-            raise ValueError(f"symbol range approaches the shift {shift}: min gap {gap:.3e} < {guard:.1e}")
+        if gap < RECIPROCAL_GUARD:
+            raise ValueError(f"symbol range approaches the shift {shift}: min gap {gap:.3e} < {RECIPROCAL_GUARD:.1e}")
         f_table = 1.0 / (sym.table - shift)
         fA = np.linalg.inv(A - shift * np.eye(sym.ctx.N))
     else:

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -445,7 +445,7 @@ def _run_weyl_count(cfg, rng, out):
             fit = weyl_slope_fit(lam, t_min=float(cfg.p) ** s, t_max=float(cfg.p) ** ((cfg.n - 1) * s))
         except ValueError as exc:
             raise ConfigError(f"level n={cfg.n} is too small for the slope fit: {exc}") from exc
-        fits[fmt(s)] = json.loads(fit.to_json())
+        fits[fmt(s)] = asdict(fit)
     write_json(out / "weyl_fits.json", {"formula": formula, "fits": fits})
     artifacts.append(out / "weyl_fits.json")
     return artifacts

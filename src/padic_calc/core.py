@@ -93,13 +93,8 @@ class TruncationContext:
         """``v_p(u)`` for every residue ``u``; the 0 entry holds ``n`` (capped)."""
         if self._valuations is None:
             v = np.zeros(self.N, dtype=np.int64)
-            t = np.arange(self.N, dtype=np.int64)
-            t[0] = 1  # sentinel; entry fixed below
-            for _ in range(self.n):
-                div = t % self.p == 0
-                v[div] += 1
-                t[div] //= self.p
-            v[0] = self.n
+            for k in range(1, self.n + 1):
+                v[:: self.p**k] += 1  # the multiples of p^k; residue 0 collects n
             object.__setattr__(self, "_valuations", v)
         return self._valuations
 

@@ -24,6 +24,13 @@ from .fourier import dft_axis
 from .operator_matrix import OperatorMatrix, schur_sums
 from .symbols import Symbol, SeminormReport, _ratio, _sub_dual_mask, seminorm
 
+#: relative level below which transform spectra count as rounding dust
+QUENCH_FLOOR = 1e-13
+#: the inversion series stops once a term's l1 spectrum drops below SERIES_TOL,
+#: and fails if that takes more than SERIES_MAX_TERMS terms
+SERIES_TOL = 1e-12
+SERIES_MAX_TERMS = 2000
+
 
 class EllipticityMarginError(RuntimeError):
     """The inversion series fails to contract (ellipticity margin lost)."""
@@ -37,12 +44,6 @@ class SchurReport:
     col_sup: float
     norm: float
     growth_ratio: float
-
-    def to_csv_rows(self):
-        return [
-            ("r", "m", "row_sup", "col_sup", "norm", "growth_ratio"),
-            (self.r, self.m, self.row_sup, self.col_sup, self.norm, self.growth_ratio),
-        ]
 
 
 def associated_matrix(sym: Symbol) -> OperatorMatrix:
@@ -108,13 +109,13 @@ class EquivalenceReport:
         )
 
 
-def _quench(arr: np.ndarray, floor: float = 1e-13) -> np.ndarray:
+def _quench(arr: np.ndarray) -> np.ndarray:
     """Zero entries below a relative noise floor (transform rounding dust)."""
     peak = np.max(np.abs(arr))
     if peak == 0.0:
         return arr
     out = arr.copy()
-    out[np.abs(out) < floor * peak] = 0.0
+    out[np.abs(out) < QUENCH_FLOOR * peak] = 0.0
     return out
 
 
@@ -182,8 +183,6 @@ def wiener_experiment(
     order: float,
     threshold: int,
     r_values: tuple = (0, 1, 2, 3),
-    tol: float = 1e-12,
-    max_terms: int = 2000,
 ) -> WienerReport:
     """Invert sigma column-by-column through the geometric series.
 
@@ -218,16 +217,16 @@ def wiener_experiment(
         term = f.astype(np.complex128)
         l1_history = []
         k = 0
-        while k < max_terms:
+        while k < SERIES_MAX_TERMS:
             spec_l1 = float(np.sum(np.abs(dft_axis(term, ctx, -1, axis=0) / ctx.N)))
             l1_history.append(spec_l1)
-            if spec_l1 < tol:
+            if spec_l1 < SERIES_TOL:
                 break
             acc += term
             term = term * f
             k += 1
         else:
-            raise EllipticityMarginError(f"column u={u}: series did not reach {tol} in {max_terms} terms")
+            raise EllipticityMarginError(f"column u={u}: series did not reach {SERIES_TOL} in {SERIES_MAX_TERMS} terms")
         if len(l1_history) > 3:
             warm = l1_history[2:]
             measured = (warm[-1] / warm[0]) ** (1.0 / (len(warm) - 1)) if warm[0] > 0 else 0.0

@@ -10,7 +10,6 @@ matrix, conjugated by the weights, and its largest singular value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,8 @@ from .symbols import Symbol
 from .vladimirov import VladimirovSpec, multiplier_table
 
 DENSE_EIG_CAP = 4096
+#: largest accepted eigenpair residual, relative to ||A||
+EIGEN_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ class EigenDecomposition:
     operator_norm: float
 
 
-def eigen(A: OperatorMatrix, cap: int = DENSE_EIG_CAP, residual_tol: float = 1e-8) -> EigenDecomposition:
+def eigen(A: OperatorMatrix, cap: int = DENSE_EIG_CAP) -> EigenDecomposition:
     """numpy dense eigensolve with a per-pair residual certificate."""
     if A.ctx.N > cap:
         raise ResourceCapError(f"dense eigensolve of size {A.ctx.N} exceeds cap {cap}")
@@ -191,8 +192,8 @@ def eigen(A: OperatorMatrix, cap: int = DENSE_EIG_CAP, residual_tol: float = 1e-
     anorm = float(np.linalg.norm(entries, 2))
     resid = np.linalg.norm(entries @ V - V * w[None, :], axis=0) / np.maximum(np.linalg.norm(V, axis=0), 1e-300)
     max_resid = float(np.max(resid)) if resid.size else 0.0
-    if max_resid > residual_tol * max(anorm, 1e-300):
-        raise ConsistencyError(f"eigen residual {max_resid:.3e} exceeds {residual_tol:.1e} * ||A||")
+    if max_resid > EIGEN_RESIDUAL_TOL * max(anorm, 1e-300):
+        raise ConsistencyError(f"eigen residual {max_resid:.3e} exceeds {EIGEN_RESIDUAL_TOL:.1e} * ||A||")
     return EigenDecomposition(values=w, vectors=V, max_residual=max_resid, operator_norm=anorm)
 
 
@@ -217,18 +218,6 @@ class WeylFit:
     rss: float
     points: int
     plain_slope: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "slope": self.slope,
-                "shift": self.shift,
-                "intercept": self.intercept,
-                "rss": self.rss,
-                "points": self.points,
-                "plain_slope": self.plain_slope,
-            }
-        )
 
 
 def _linfit(x: np.ndarray, y: np.ndarray):
@@ -288,7 +277,7 @@ class HeatTrajectory:
         return rows
 
 
-def heat_evolve(generator, f0: LevelFunction, times, orders, eig_cap: int = DENSE_EIG_CAP) -> HeatTrajectory:
+def heat_evolve(generator, f0: LevelFunction, times, orders) -> HeatTrajectory:
     """Evolve the semigroup generated by -T from f0 over a time grid.
 
     A symbol whose rows are all equal (a multiplier) takes the exact
@@ -315,7 +304,7 @@ def heat_evolve(generator, f0: LevelFunction, times, orders, eig_cap: int = DENS
         return HeatTrajectory(times, orders, norms, mags, "multiplier")
 
     A = quantize(generator) if isinstance(generator, Symbol) else generator
-    dec = eigen(A, cap=eig_cap)
+    dec = eigen(A)
     coords = np.linalg.solve(dec.vectors, f0.values)
     norms = np.zeros((len(times), len(orders)))
     mags = np.zeros((len(times), ctx.N))

@@ -22,7 +22,11 @@ Seminorm sweeps estimate the best constants of three class families over
 the finite grid and report a two-level growth ratio (sup over the full
 dual vs. the level-(n-1) sub-dual) as a membership diagnostic: a finite
 truncation can only falsify membership or exhibit level-stable constants,
-never prove membership.
+never prove membership.  Each family is one private generator
+(``_s_ratios``, ``_s_tilde_ratios``, ``_s_check_ratios``) that yields,
+per (alpha, beta), the array of ratios of its difference expression to
+the class bound and the mask of the entries on the sub-dual; ``seminorm``
+is the one reducer that turns these into the constants and growth ratios.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ FAMILIES = ("S", "S_tilde", "S_check")
 AMPLITUDE_CAP = 2**21
 #: work cap for the quartic double-difference sweep (p^{4n} cells)
 DOUBLE_DIFFERENCE_CAP = 2**20
+#: relative tolerance within which a table counts as radial
+RADIAL_TOL = 1e-12
 
 
 @dataclass
@@ -80,13 +86,13 @@ class Symbol:
         row = self.table[0]
         return row if np.all(self.table == row[None, :]) else None
 
-    def radial_profile(self, tol: float = 1e-12) -> np.ndarray:
-        """Per-x shell profile read off the table; raises unless radial within tol."""
+    def radial_profile(self) -> np.ndarray:
+        """Per-x shell profile read off the table; raises unless radial within ``RADIAL_TOL``."""
         sh = self.ctx.shells
         _, first = np.unique(sh, return_index=True)  # first dual index of each shell
         prof = self.table[:, first]
         scale = max(1.0, float(np.max(np.abs(self.table))))
-        off = np.max(np.abs(self.table - prof[:, sh]), axis=0) > tol * scale
+        off = np.max(np.abs(self.table - prof[:, sh]), axis=0) > RADIAL_TOL * scale
         if np.any(off):
             raise ValueError(f"symbol is not radial on shell {int(sh[off].min())}")
         return prof
@@ -221,11 +227,6 @@ def _sub_dual_mask(ctx: TruncationContext) -> np.ndarray:
     return mask
 
 
-def _masked_max(values: np.ndarray, mask: np.ndarray) -> float:
-    sel = values[mask]
-    return float(sel.max()) if sel.size else 0.0
-
-
 def _ratio(full: float, sub: float) -> float:
     if sub == 0.0:
         return 1.0 if full == 0.0 else np.inf
@@ -252,6 +253,78 @@ def _xi_difference_sups(T: np.ndarray) -> np.ndarray:
     return out
 
 
+def _s_ratios(sym: Symbol, m, rho, delta, alpha_max, beta_max):
+    """Family S: shell differences of the D^beta-differentiated radial profile.
+
+    Shell j = 0 (xi = 0) enters only at alpha = 0, with bound p^0 = 1;
+    alpha > n - 1 leaves no shell to difference, so C stays 0 there.
+    """
+    ctx = sym.ctx
+    prof = sym.radial_profile()
+    for beta in range(beta_max + 1):
+        dprof = _dx(prof, ctx, float(beta)) if beta else prof
+        for alpha in range(min(alpha_max, max(ctx.n - 1, 0)) + 1):
+            vals = np.abs(np.diff(dprof[:, 1:], n=alpha, axis=1)) if alpha else np.abs(dprof)
+            js = np.arange(1 if alpha else 0, ctx.n - alpha + 1)
+            bound = np.power(float(ctx.p), js * (m - rho * alpha + delta * beta))
+            yield alpha, beta, vals / bound[None, :], (js <= ctx.n - 1) | (js == 0)
+
+
+def _s_tilde_ratios(sym: Symbol, m, rho, delta, alpha_max, beta_max):
+    """Family S_tilde: group differences by eta in xi of D^beta sigma, over |eta| <= <xi>."""
+    ctx = sym.ctx
+    sub = _sub_dual_mask(ctx)
+    allowed = ctx.norms[:, None] <= ctx.weights[None, :]
+    allowed[0, :] = False  # eta = 0 excluded (difference vanishes anyway)
+    sub_allowed = allowed & sub[:, None] & sub[None, :]
+    lam = sym.multiplier_values()
+    for beta in range(beta_max + 1):
+        if beta == 0:
+            T = sym.table if lam is None else lam[None, :]
+        elif lam is not None:
+            continue  # x-constant columns are annihilated exactly
+        else:
+            T = _dx(sym.table, ctx, float(beta))
+        # alpha = 0 is the zeroth difference: the plain size of D^beta sigma
+        yield 0, beta, np.max(np.abs(T), axis=0) / np.power(ctx.weights, m + delta * beta), sub
+        if alpha_max == 0:
+            continue
+        num = _xi_difference_sups(T)
+        for alpha in range(1, alpha_max + 1):
+            denom = np.power(ctx.weights[:, None], alpha) * np.power(ctx.weights[None, :], m - rho * alpha + delta * beta)
+            yield alpha, beta, np.where(allowed, num / denom, 0.0), sub_allowed
+
+
+def _s_check_ratios(sym: Symbol, m, rho, delta, alpha_max, beta_max):
+    """Family S_check: double differences, by y in x and by eta in xi."""
+    ctx = sym.ctx
+    N = ctx.N
+    if N**4 > DOUBLE_DIFFERENCE_CAP:
+        raise ResourceCapError(
+            f"double-difference sweep needs {N}^4 = {N**4} cells, cap is {DOUBLE_DIFFERENCE_CAP}"
+        )
+    # num[y, eta, xi] = max_x of the eta-difference in xi of R_y, where R_0 is
+    # sigma and R_y (y > 0) its difference by y in x; eta = 0 holds max_x |R_y|
+    cols = np.arange(N)
+    num = np.empty((N, N, N))
+    for y in range(N):
+        R = sym.table[(cols + y) % N, :] - sym.table if y else sym.table
+        num[y] = _xi_difference_sups(R)
+        num[y, 0] = np.max(np.abs(R), axis=0)
+    point_norm = np.power(float(ctx.p), -ctx.valuations.astype(np.float64))  # |y|_p of residues
+    sub = _sub_dual_mask(ctx)
+    for alpha in range(alpha_max + 1):
+        es = slice(1, None) if alpha else slice(0, 1)
+        for beta in range(beta_max + 1):
+            ys = slice(1, None) if beta else slice(0, 1)
+            xi_w = np.power(ctx.weights, m - rho * alpha + delta * beta)
+            denom = point_norm[ys, None, None] ** beta * ctx.weights[None, es, None] ** alpha * xi_w[None, None, :]
+            yield alpha, beta, num[ys, es] / denom, sub[None, es, None] & sub[None, None, :]
+
+
+_FAMILY_RATIOS = {"S": _s_ratios, "S_tilde": _s_tilde_ratios, "S_check": _s_check_ratios}
+
+
 def seminorm(
     sym: Symbol,
     family: str,
@@ -268,6 +341,12 @@ def seminorm(
     side.  ``growth_ratio`` compares the sup over the full dual with the
     sup over the level-(n-1) sub-dual: bounded ratios are consistent with
     membership, growing ones falsify it.
+
+    Each family is a generator yielding ``(alpha, beta, ratios, sub)``:
+    the ratio array of one class estimate and the mask (broadcast to its
+    shape) of the entries on the sub-dual.  This function reduces them,
+    ``C`` to the max of ``ratios`` and ``Csub`` to the max over ``sub``,
+    both 0.0 on an empty set; an (alpha, beta) not yielded keeps 0.0.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -276,107 +355,12 @@ def seminorm(
     if alpha_max < 0 or beta_max < 0:
         raise ValueError("alpha_max and beta_max must be non-negative")
 
-    ctx = sym.ctx
     C = np.zeros((alpha_max + 1, beta_max + 1))
     Csub = np.zeros_like(C)
-
-    if family == "S":
-        prof = sym.radial_profile()
-        shell_j = np.arange(1, ctx.n + 1)
-        for beta in range(beta_max + 1):
-            dprof = _dx(prof, ctx, float(beta)) if beta else prof
-            zero_col = np.max(np.abs(dprof[:, 0]))
-            for alpha in range(alpha_max + 1):
-                if alpha == 0:
-                    vals = np.abs(dprof[:, 1:])
-                    js = shell_j
-                else:
-                    if alpha > ctx.n - 1:
-                        C[alpha, beta] = 0.0
-                        Csub[alpha, beta] = 0.0
-                        continue
-                    vals = np.abs(np.diff(dprof[:, 1:], n=alpha, axis=1))
-                    js = shell_j[: ctx.n - alpha]
-                bound = np.power(float(ctx.p), js * (m - rho * alpha + delta * beta))
-                ratios = vals / bound[None, :]
-                full = float(ratios.max()) if ratios.size else 0.0
-                sub = float(ratios[:, js <= ctx.n - 1].max()) if np.any(js <= ctx.n - 1) else 0.0
-                if alpha == 0:
-                    full = max(full, zero_col)  # <xi>^e = 1 at xi = 0
-                    sub = max(sub, zero_col)
-                C[alpha, beta] = full
-                Csub[alpha, beta] = sub
-        return SeminormReport(family, m, rho, delta, alpha_max, beta_max, C, np.vectorize(_ratio)(C, Csub))
-
-    if family == "S_tilde":
-        N = ctx.N
-        sub_mask = _sub_dual_mask(ctx)
-        lam = sym.multiplier_values()
-        for beta in range(beta_max + 1):
-            if beta == 0:
-                T = sym.table if lam is None else lam[None, :]
-            elif lam is not None:
-                continue  # x-constant columns are annihilated exactly
-            else:
-                T = _dx(sym.table, ctx, float(beta))
-            # alpha = 0 is the zeroth difference: the plain size of D^beta sigma
-            base = np.max(np.abs(T), axis=0) / np.power(ctx.weights, m + delta * beta)
-            C[0, beta] = float(base.max())
-            Csub[0, beta] = _masked_max(base, sub_mask)
-            if alpha_max == 0:
-                continue
-            num = _xi_difference_sups(T)
-            allowed = ctx.norms[:, None] <= ctx.weights[None, :]
-            allowed[0, :] = False  # eta = 0 excluded (difference vanishes anyway)
-            for alpha in range(1, alpha_max + 1):
-                denom = np.power(ctx.norms[:, None], alpha, where=ctx.norms[:, None] > 0, out=np.ones((N, 1))) * np.power(
-                    ctx.weights[None, :], m - rho * alpha + delta * beta
-                )
-                ratios = np.where(allowed, num / denom, 0.0)
-                C[alpha, beta] = float(ratios.max()) if ratios.size else 0.0
-                sub_allowed = allowed & sub_mask[:, None] & sub_mask[None, :]
-                Csub[alpha, beta] = _masked_max(ratios, sub_allowed)
-        return SeminormReport(family, m, rho, delta, alpha_max, beta_max, C, np.vectorize(_ratio)(C, Csub))
-
-    # family == "S_check": double differences in x and xi
-    N = ctx.N
-    if N**4 > DOUBLE_DIFFERENCE_CAP:
-        raise ResourceCapError(
-            f"double-difference sweep needs {N}^4 = {N**4} cells, cap is {DOUBLE_DIFFERENCE_CAP}"
-        )
-    cols = np.arange(N)
-    point_norm = np.power(float(ctx.p), -ctx.valuations.astype(np.float64))  # |y|_p of residues
-    sub_mask = _sub_dual_mask(ctx)
-    num_xi = _xi_difference_sups(sym.table)  # single xi-difference: [eta, xi]
-    num_x = np.zeros((N, N))  # single x-difference: [y, xi]
-    num2 = np.zeros((N, N, N))  # double difference: [y, eta, xi]
-    for y in range(1, N):
-        R = sym.table[(cols + y) % N, :] - sym.table
-        num_x[y] = np.max(np.abs(R), axis=0)
-        num2[y] = _xi_difference_sups(R)
-    eta_pow = np.power(ctx.norms, 1.0, where=ctx.norms > 0, out=np.ones(N))
-    for alpha in range(alpha_max + 1):
-        for beta in range(beta_max + 1):
-            xi_w = np.power(ctx.weights, m - rho * alpha + delta * beta)
-            if alpha == 0 and beta == 0:
-                vals = np.max(np.abs(sym.table), axis=0) / xi_w
-                C[0, 0] = float(vals.max())
-                Csub[0, 0] = _masked_max(vals, sub_mask)
-            elif alpha == 0:
-                ratios = num_x[1:] / (point_norm[1:, None] ** beta * xi_w[None, :])
-                C[0, beta] = float(ratios.max())
-                Csub[0, beta] = _masked_max(ratios, np.broadcast_to(sub_mask[None, :], ratios.shape))
-            elif beta == 0:
-                ratios = num_xi[1:] / (eta_pow[1:, None] ** alpha * xi_w[None, :])
-                C[alpha, 0] = float(ratios.max())
-                sub2 = sub_mask[1:, None] & sub_mask[None, :]
-                Csub[alpha, 0] = _masked_max(ratios, sub2)
-            else:
-                denom = point_norm[1:, None, None] ** beta * eta_pow[None, 1:, None] ** alpha * xi_w[None, None, :]
-                ratios = num2[1:, 1:, :] / denom
-                C[alpha, beta] = float(ratios.max()) if ratios.size else 0.0
-                sub3 = sub_mask[None, 1:, None] & sub_mask[None, None, :]
-                Csub[alpha, beta] = _masked_max(ratios, np.broadcast_to(sub3, ratios.shape))
+    for alpha, beta, ratios, sub in _FAMILY_RATIOS[family](sym, m, rho, delta, alpha_max, beta_max):
+        sel = ratios[np.broadcast_to(sub, ratios.shape)]
+        C[alpha, beta] = float(ratios.max()) if ratios.size else 0.0
+        Csub[alpha, beta] = float(sel.max()) if sel.size else 0.0
     return SeminormReport(family, m, rho, delta, alpha_max, beta_max, C, np.vectorize(_ratio)(C, Csub))
 
 

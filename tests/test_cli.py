@@ -325,6 +325,25 @@ def test_raised_caps(tmp_path, capsys, experiment):
     assert err.startswith("resource cap:") and str(2**20) in err and "\n" not in err
 
 
+@pytest.mark.parametrize("family", ["S", "S_tilde", "S_check"])
+def test_seminorm_sweep_at_level_zero(tmp_path, capsys, family):
+    # at n = 0 the single residue leaves no y != 0 or eta != 0: those constants are 0
+    cfg = write_config(
+        tmp_path,
+        {
+            "experiment": "seminorm-sweep",
+            "p": 2,
+            "n": 0,
+            "output_dir": str(tmp_path / "out"),
+            "params": {"family": family},
+        },
+    )
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "out" / "seminorm.json").read_text())
+    assert doc["family"] == family and np.all(np.isfinite(doc["constants"]))
+
+
 @pytest.mark.parametrize("seed", [0, 2])
 def test_heat_non_finite_eigen_route_is_a_numeric_failure(tmp_path, capsys, seed):
     # generator entries up to 4^100: the eigensolve passes its residual check, exp(-t lambda) does not survive

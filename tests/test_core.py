@@ -60,6 +60,11 @@ def test_norm_tables_match_scalar_definition():
             f = Frequency(ctx, u)
             assert ctx.norms[u] == f.norm
             assert ctx.weights[u] == f.weight
+    for p, n in [(2, 10), (3, 6), (5, 4), (7, 3), (2, 0), (5, 0)]:
+        ctx = TruncationContext(p, n)
+        assert ctx.valuations[0] == n  # the zero residue is capped at n
+        for k in range(1, ctx.N):
+            assert ctx.valuations[k] == valuation(k, ctx)
 
 
 def test_character_values_trivial_and_roots():

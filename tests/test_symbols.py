@@ -1,12 +1,13 @@
 """Symbol forms, difference operators, seminorm sweeps, amplitudes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from padic_calc.core import Frequency, ResourceCapError, TruncationContext
-from padic_calc.fourier import dft_axis
+from padic_calc.core import Frequency, ResourceCapError, TruncationContext, valuation
+from padic_calc.fourier import LevelFunction, dft_axis
 from padic_calc.symbols import (
     Amplitude,
     _xi_difference_sups,
@@ -22,7 +23,7 @@ from padic_calc.symbols import (
     seminorm,
     vladimirov_symbol,
 )
-from padic_calc.vladimirov import VladimirovSpec, multiplier_table
+from padic_calc.vladimirov import VladimirovSpec, apply_integral, multiplier_table
 
 
 def rng():
@@ -271,6 +272,133 @@ def test_containment_s_in_s_tilde():
     # group differences only feel norm changes, so the S_tilde constants are
     # controlled by (twice) the radial oscillation
     assert rep_t.constants[0, 0] <= 2 * rep_s.constants[0, 0] + 1e-9
+
+
+# Brute-force seminorm oracles: plain loops over the class definitions, with
+# norms from the scalar valuation and D^beta from the singular-sum route.
+
+
+def _dual_norm(u, ctx):
+    return 0.0 if u == 0 else float(ctx.p) ** (ctx.n - valuation(u, ctx))
+
+
+def _growth(full, sub):
+    if sub == 0.0:
+        return 1.0 if full == 0.0 else np.inf
+    return full / sub
+
+
+def _dx_oracle(cols, beta, ctx):
+    """D^beta of each column as a function of x, through apply_integral."""
+    if beta == 0:
+        return cols
+    spec = VladimirovSpec(float(beta), ctx.p)
+    return np.stack([apply_integral(spec, LevelFunction(ctx, cols[:, k])).values for k in range(cols.shape[1])], axis=1)
+
+
+def _s_oracle(prof, ctx, m, rho, delta, alpha_max, beta_max):
+    p, n = ctx.p, ctx.n
+    C = np.zeros((alpha_max + 1, beta_max + 1))
+    G = np.ones_like(C)
+    for beta in range(beta_max + 1):
+        d = _dx_oracle(prof, beta, ctx)
+        for alpha in range(alpha_max + 1):
+            e = m - rho * alpha + delta * beta
+            full = sub = 0.0
+            shells = range(0, n + 1) if alpha == 0 else range(1, n - alpha + 1)
+            for x in range(ctx.N):
+                for j in shells:
+                    diff = sum((-1) ** (alpha - k) * math.comb(alpha, k) * d[x, j + k] for k in range(alpha + 1))
+                    r = abs(diff) / float(p) ** (j * e)
+                    full = max(full, r)
+                    if j <= n - 1:
+                        sub = max(sub, r)
+            C[alpha, beta], G[alpha, beta] = full, _growth(full, sub)
+    return C, G
+
+
+def _s_tilde_oracle(table, ctx, m, rho, delta, alpha_max, beta_max):
+    N, p = ctx.N, ctx.p
+    C = np.zeros((alpha_max + 1, beta_max + 1))
+    G = np.ones_like(C)
+    for beta in range(beta_max + 1):
+        T = _dx_oracle(table, beta, ctx)
+        for alpha in range(alpha_max + 1):
+            e = m - rho * alpha + delta * beta
+            full = sub = 0.0
+            for xi in range(N):
+                w = max(1.0, _dual_norm(xi, ctx))
+                for eta in [0] if alpha == 0 else range(1, N):
+                    if _dual_norm(eta, ctx) > w:
+                        continue
+                    diff = T[:, (xi + eta) % N] - T[:, xi] if eta else T[:, xi]
+                    r = float(np.max(np.abs(diff))) / (_dual_norm(eta, ctx) ** alpha * w**e)
+                    full = max(full, r)
+                    if eta % p == 0 and xi % p == 0:
+                        sub = max(sub, r)
+            C[alpha, beta], G[alpha, beta] = full, _growth(full, sub)
+    return C, G
+
+
+def _s_check_oracle(table, ctx, m, rho, delta, alpha_max, beta_max):
+    N, p = ctx.N, ctx.p
+    C = np.zeros((alpha_max + 1, beta_max + 1))
+    G = np.ones_like(C)
+    for alpha in range(alpha_max + 1):
+        for beta in range(beta_max + 1):
+            e = m - rho * alpha + delta * beta
+            full = sub = 0.0
+            for y in [0] if beta == 0 else range(1, N):
+                R = table[(np.arange(N) + y) % N] - table if y else table
+                y_norm = float(p) ** -valuation(y, ctx) if y else 1.0
+                for eta in [0] if alpha == 0 else range(1, N):
+                    for xi in range(N):
+                        diff = R[:, (xi + eta) % N] - R[:, xi] if eta else R[:, xi]
+                        w = max(1.0, _dual_norm(xi, ctx))
+                        r = float(np.max(np.abs(diff))) / (y_norm**beta * _dual_norm(eta, ctx) ** alpha * w**e)
+                        full = max(full, r)
+                        if eta % p == 0 and xi % p == 0:
+                            sub = max(sub, r)
+            C[alpha, beta], G[alpha, beta] = full, _growth(full, sub)
+    return C, G
+
+
+def _assert_matches_oracle(rep, C, G):
+    for beta in range(C.shape[1]):
+        rtol = 1e-12 if beta == 0 else 1e-10
+        np.testing.assert_allclose(rep.constants[:, beta], C[:, beta], rtol=rtol, atol=0)
+        np.testing.assert_allclose(rep.growth_ratio[:, beta], G[:, beta], rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3)])
+def test_seminorm_s_matches_brute_force(p, n):
+    ctx = TruncationContext(p, n)
+    gen = np.random.default_rng(100 * p + n)
+    prof = gen.normal(size=(ctx.N, n + 1)) + 1j * gen.normal(size=(ctx.N, n + 1))
+    args = (0.5, 1.0, 0.25, 3, 2)
+    rep = seminorm(Symbol.radial(ctx, prof), "S", *args)
+    _assert_matches_oracle(rep, *_s_oracle(prof, ctx, *args))
+
+
+@pytest.mark.parametrize("kind", ["random", "multiplier"])
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2)])
+def test_seminorm_s_tilde_matches_brute_force(p, n, kind):
+    ctx = TruncationContext(p, n)
+    gen = np.random.default_rng(100 * p + n)
+    rows = ctx.N if kind == "random" else 1
+    table = np.broadcast_to(gen.normal(size=(rows, ctx.N)) + 1j * gen.normal(size=(rows, ctx.N)), (ctx.N, ctx.N))
+    args = (1.5, 0.5, 0.5, 3, 2)
+    rep = seminorm(Symbol(ctx, table), "S_tilde", *args)
+    _assert_matches_oracle(rep, *_s_tilde_oracle(table, ctx, *args))
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
+def test_seminorm_s_check_matches_brute_force(p, n):
+    ctx = TruncationContext(p, n)
+    table = random_symbol(ctx, np.random.default_rng(100 * p + n)).table
+    args = (0.25, 1.0, 0.5, 2, 2)
+    rep = seminorm(Symbol(ctx, table), "S_check", *args)
+    _assert_matches_oracle(rep, *_s_check_oracle(table, ctx, *args))
 
 
 def slow_amplitude_operator(a):
