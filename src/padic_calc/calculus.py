@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .operator_matrix import (
     OperatorMatrix,
@@ -243,6 +242,8 @@ def analytic_calculus(
     ``reciprocal_shift`` (1/(sigma - shift) vs. the resolvent), the
     latter guarded against near-singularity of the pointwise argument.
     """
+    import scipy.linalg  # here, not at the top: only expm needs it, and it is slow to import
+
     A = quantize(sym).entries
     if function == "power":
         if exponent < 0:

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +57,11 @@ class ExperimentConfig:
     output_dir: str = "artifacts"
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # numpy seeds need a non-negative integer; the --seed override passes here too
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"field 'seed' must be a non-negative integer, got {self.seed!r}")
+
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
@@ -74,9 +79,6 @@ class ExperimentConfig:
             raise ConfigError(f"field 'p' must be a prime integer, got {doc['p']!r}")
         if not isinstance(doc["n"], int) or doc["n"] < 0:
             raise ConfigError(f"field 'n' must be a non-negative integer, got {doc['n']!r}")
-        seed = doc.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError(f"field 'seed' must be an integer, got {seed!r}")
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"field 'params' must be an object, got {params!r}")
@@ -84,7 +86,7 @@ class ExperimentConfig:
             experiment=doc["experiment"],
             p=doc["p"],
             n=doc["n"],
-            seed=seed,
+            seed=doc.get("seed", 0),
             output_dir=doc.get("output_dir", "artifacts"),
             params=params,
         )
@@ -156,6 +158,13 @@ CAPS = {
 }
 
 
+#: largest accepted 'trials'; a count of 1e300 passes as an integer and never ends
+MAX_TRIALS = 1000
+#: largest accepted Schur exponent 'r_max': <xi>^r stays far from overflow up to
+#: the schur-sweep cap (512^64 = 2^576), and at r = 120, p^n = 2^9 the sums are NaN
+MAX_SCHUR_R = 64
+
+
 def _require_size(cfg: ExperimentConfig) -> TruncationContext:
     N = cfg.p**cfg.n
     cap = CAPS[cfg.experiment]
@@ -210,7 +219,7 @@ def _order(key: str, s: float, cfg: ExperimentConfig) -> float:
 
 def _run_transform_bench(cfg, rng, out):
     ctx = _require_size(cfg)
-    trials = _param(cfg.params, "trials", 20, integer=True, low=0)
+    trials = _param(cfg.params, "trials", 20, integer=True, low=0, high=MAX_TRIALS)
     rows = [("trial", "max_fast_vs_naive", "roundtrip_error", "plancherel_gap")]
     t0 = time.perf_counter()
     for t in range(trials):
@@ -310,7 +319,7 @@ def _run_seminorm_sweep(cfg, rng, out):
 
 def _run_compose_check(cfg, rng, out):
     ctx = _require_size(cfg)
-    trials = _param(cfg.params, "trials", 50, integer=True, low=0)
+    trials = _param(cfg.params, "trials", 50, integer=True, low=0, high=MAX_TRIALS)
     worst = 0.0
     for _ in range(trials):
         t1 = rng.normal(size=(ctx.N, ctx.N)) + 1j * rng.normal(size=(ctx.N, ctx.N))
@@ -327,7 +336,7 @@ def _run_schur_sweep(cfg, rng, out):
     ctx = _require_size(cfg)
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     m = _param(cfg.params, "m", s)
-    r_max = _param(cfg.params, "r_max", 4, integer=True, low=0)
+    r_max = _param(cfg.params, "r_max", 4, integer=True, low=0, high=MAX_SCHUR_R)
     sym = vladimirov_symbol(VladimirovSpec(s, cfg.p), ctx)
     rep = equivalence_check(sym, m=m, r_max=r_max)
     rows = [("r", "m", "row_sup", "col_sup", "norm", "growth_ratio")]
@@ -553,7 +562,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.output_dir = args.out
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg = replace(cfg, seed=args.seed)
         manifest = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

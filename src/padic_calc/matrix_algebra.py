@@ -30,6 +30,8 @@ QUENCH_FLOOR = 1e-13
 #: and fails if that takes more than SERIES_MAX_TERMS terms
 SERIES_TOL = 1e-12
 SERIES_MAX_TERMS = 2000
+#: the series holds this many bytes of complex128 columns per block
+SERIES_BLOCK_BYTES = 1 << 17
 
 
 class EllipticityMarginError(RuntimeError):
@@ -192,62 +194,85 @@ def wiener_experiment(
     1 - inf/sup bound, and the summed reciprocal is cross-checked against
     the direct pointwise reciprocal.  Weighted l1 norms of the spectrum
     of 1/sigma feed the inverse-closedness constants.
+
+    The columns run in blocks of SERIES_BLOCK_BYTES, held as rows, so each
+    series term is one transform per block; a column leaves the block when
+    it converges.  Every float operation is the one the column-by-column
+    loop does, so the report is bit-identical to it, and the first failing
+    column in column order raises.
     """
     ctx = sym.ctx
     ell = ellipticity_report(sym, order, n_max=threshold)
     if ell is None or ell.threshold > threshold:
         raise EllipticityMarginError(f"symbol not elliptic of order {order} at threshold {threshold}")
     high = np.flatnonzero(ctx.norms >= float(ctx.p) ** threshold)
+    block = max(1, SERIES_BLOCK_BYTES // (16 * ctx.N))
+    weights = ctx.weights
+    weights_r = {r: np.power(weights, float(r)) for r in r_values}
     columns = []
     jr_sup = {r: 0.0 for r in r_values}
-    for u in high:
-        col = sym.table[:, u]
-        sup = float(np.max(np.abs(col)))
-        inf = float(np.min(np.abs(col)))
-        if sup == 0.0:
-            raise EllipticityMarginError(f"column u={u} vanishes identically")
-        delta = inf / sup
-        f = 1.0 - col / sup
-        contraction = float(np.max(np.abs(f)))
-        if contraction >= 1.0:
-            raise EllipticityMarginError(
-                f"column u={u}: pointwise contraction factor {contraction:.6f} >= 1"
-            )
-        acc = np.ones(ctx.N, dtype=np.complex128)
-        term = f.astype(np.complex128)
-        l1_history = []
+    for start in range(0, high.size, block):
+        us = high[start : start + block]
+        cols = np.ascontiguousarray(sym.table[:, us].T)
+        sup = np.max(np.abs(cols), axis=1)
+        inf = np.min(np.abs(cols), axis=1)
+        fail = {int(i): f"column u={us[i]} vanishes identically" for i in np.flatnonzero(sup == 0.0)}
+        live = np.flatnonzero(sup != 0.0)
+        f = 1.0 - cols[live] / sup[live, None]
+        contraction = np.max(np.abs(f), axis=1)
+        for i, c in zip(live, contraction):
+            if c >= 1.0:
+                fail[int(i)] = f"column u={us[i]}: pointwise contraction factor {c:.6f} >= 1"
+        keep = ~(contraction >= 1.0)  # an inf entry makes it NaN: that column runs, and fails, as in the loop
+        rows = live[keep]
+        f = f[keep].astype(np.complex128)  # the cast the loop's term * f makes on every step
+        terms = np.zeros(us.size, dtype=np.int64)
+        first = np.zeros(us.size)  # l1 spectrum of term 2, where the warm ratio starts
+        last = np.zeros(us.size)
+        recon = np.zeros(us.size)
+        acc = np.ones(f.shape, dtype=np.complex128)
+        term = f.copy()
         k = 0
-        while k < SERIES_MAX_TERMS:
-            spec_l1 = float(np.sum(np.abs(dft_axis(term, ctx, -1, axis=0) / ctx.N)))
-            l1_history.append(spec_l1)
-            if spec_l1 < SERIES_TOL:
-                break
+        while rows.size and k < SERIES_MAX_TERMS:
+            spec = dft_axis(term, ctx, -1, axis=1)
+            spec /= ctx.N
+            spec_l1 = np.sum(np.abs(spec), axis=1)
+            if k == 2:
+                first[rows] = spec_l1
+            done = spec_l1 < SERIES_TOL
+            if done.any():
+                ended = rows[done]
+                terms[ended], last[ended] = k + 1, spec_l1[done]
+                recip_direct = 1.0 / cols[ended]
+                recip_series = acc[done] / sup[ended, None]
+                recon[ended] = np.max(np.abs(recip_series - recip_direct), axis=1) / np.max(np.abs(recip_direct), axis=1)
+                running = ~done
+                rows, f, acc, term = rows[running], f[running], acc[running], term[running]
             acc += term
-            term = term * f
+            term *= f
             k += 1
-        else:
-            raise EllipticityMarginError(f"column u={u}: series did not reach {SERIES_TOL} in {SERIES_MAX_TERMS} terms")
-        if len(l1_history) > 3:
-            warm = l1_history[2:]
-            measured = (warm[-1] / warm[0]) ** (1.0 / (len(warm) - 1)) if warm[0] > 0 else 0.0
-        else:
+        for i in rows:
+            fail[int(i)] = f"column u={us[i]}: series did not reach {SERIES_TOL} in {SERIES_MAX_TERMS} terms"
+        if fail:
+            raise EllipticityMarginError(fail[min(fail)])
+        spec = np.abs(dft_axis(1.0 / cols, ctx, -1, axis=1) / ctx.N)
+        jr = {r: np.sum(w * spec, axis=1) for r, w in weights_r.items()}
+        for i, u in enumerate(us):
+            delta = float(inf[i] / sup[i])
             measured = 0.0
-        recip_series = acc / sup
-        recip_direct = 1.0 / col
-        recon = float(np.max(np.abs(recip_series - recip_direct)) / np.max(np.abs(recip_direct)))
-        columns.append(
-            WienerColumn(
-                u=int(u),
-                norm=float(ctx.norms[u]),
-                delta=delta,
-                ratio_bound=1.0 - delta,
-                measured_ratio=measured,
-                terms=len(l1_history),
-                recon_error=recon,
+            if terms[i] > 3 and first[i] > 0:
+                measured = (float(last[i]) / float(first[i])) ** (1.0 / (int(terms[i]) - 3))
+            columns.append(
+                WienerColumn(
+                    u=int(u),
+                    norm=float(ctx.norms[u]),
+                    delta=delta,
+                    ratio_bound=1.0 - delta,
+                    measured_ratio=measured,
+                    terms=int(terms[i]),
+                    recon_error=float(recon[i]),
+                )
             )
-        )
-        spec = np.abs(dft_axis(recip_direct.astype(np.complex128), ctx, -1, axis=0) / ctx.N)
-        for r in r_values:
-            val = float(np.sum(np.power(ctx.weights, float(r)) * spec)) * ctx.weights[u] ** order
-            jr_sup[r] = max(jr_sup[r], val)
+            for r in r_values:
+                jr_sup[r] = max(jr_sup[r], float(jr[r][i]) * weights[u] ** order)
     return WienerReport(threshold=threshold, order=order, columns=columns, jr_constants=jr_sup)

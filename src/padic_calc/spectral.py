@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .calculus import NotEllipticError, ellipticity_report, quantize
 from .core import ConsistencyError, ResourceCapError, TruncationContext
@@ -116,8 +115,15 @@ def op_norm_sobolev_multiplier(lam: np.ndarray, ctx: TruncationContext, t: float
     lam = np.asarray(lam)
     if lam.shape != (ctx.N,):
         raise ValueError(f"multiplier needs {ctx.N} eigenvalues, got shape {lam.shape}")
-    w = ctx.weights
-    return float(np.max(np.power(w, t) * np.abs(lam) * np.power(w, -(t + m))))
+    # <xi> takes one value per shell, so the powers are taken on n+1 weights.  Shell
+    # j >= 1 is the multiples of p^(n-j) not divisible by p^(n-j+1): in a stride-p^(n-j)
+    # slice, the entries off every p-th.  Rounding is monotone, so the largest product
+    # on a shell is the product at its largest |lam|, the same float the N-entry form gives.
+    mod = np.abs(lam)
+    steps = [ctx.p ** (ctx.n - j) for j in range(1, ctx.n + 1)]
+    peak = np.array([mod[0]] + [mod[::d].reshape(-1, ctx.p)[:, 1:].max() for d in steps])
+    w = ctx.weights[[0] + steps]
+    return float(np.max(np.power(w, t) * peak * np.power(w, -(t + m))))
 
 
 @dataclass
@@ -243,6 +249,8 @@ def weyl_slope_fit(eigenvalues: np.ndarray, t_min: float, t_max: float) -> WeylF
 
     def rss_of(b: float) -> float:
         return _linfit(np.log(ts + b), y)[2]
+
+    import scipy.optimize  # here, not at the top: only weyl-count needs it, and it is slow to import
 
     res = scipy.optimize.minimize_scalar(rss_of, bounds=(-0.9 * t_min, t_min), method="bounded")
     shift = float(res.x)

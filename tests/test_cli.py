@@ -1,9 +1,16 @@
 """CLI contract: config validation, exit codes, determinism, artifacts."""
 
 import json
+import math
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_calc.calculus import quantize
 from padic_calc.cli import (
@@ -114,6 +121,11 @@ BAD_ORDERS = (1e-300, 1e6, 1000.0)
         *[("sobolev-bound", 2, {"t_values": [t]}) for t in (1e6, -1e6, 700.0)],
         # heat: <xi>^(2k) overflows at the top weight p^n
         *[("heat", 2, {"sobolev_orders": [k]}) for k in (1e6, 700.0)],
+        # counts that pass as integers but would never end, and a Schur exponent past the bound
+        ("transform-bench", 2, {"trials": 1e300}),
+        ("compose-check", 2, {"trials": 1001}),
+        ("schur-sweep", 0, {"r_max": 1e300}),
+        ("schur-sweep", 2, {"r_max": 65}),
     ],
 )
 def test_bad_params_exit_config(tmp_path, capsys, experiment, n, params):
@@ -200,6 +212,49 @@ def test_seed_and_out_overrides(tmp_path, capsys):
     assert not (tmp_path / "ignored").exists()
     doc = json.loads((tmp_path / "real" / "compose_check.json").read_text())
     assert doc["max_error"] < 1e-10
+
+
+def test_negative_seed_exits_config(tmp_path, capsys):
+    doc = {"experiment": "vladimirov-eigen", "p": 2, "n": 3, "output_dir": str(tmp_path / "out")}
+    in_field = write_config(tmp_path, {**doc, "seed": -1}, "field.json")
+    plain = write_config(tmp_path, doc, "plain.json")
+    for argv in (["run", "--config", str(in_field)], ["run", "--config", str(plain), "--seed", "-5"]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error: field 'seed'") and "\n" not in err
+    assert not (tmp_path / "out").exists()
+
+
+#: every name a runner reads from ``params``
+PARAM_NAMES = """alpha_max beta_max coefficient_floor delta family formula m orders_s perturbation
+perturbation_decay r_max rho s s_values sobolev_orders t_values threshold times trials""".split()
+ODD_VALUES = (0, -1, 1, 2, 0.5, 1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf, "x", "S", "integral")
+ODD_VALUES += ([], [0.5], [1e300], [-1], [math.nan], ["x"], None, True, False)
+CONFIG_DOCS = st.fixed_dictionaries(
+    {
+        "experiment": st.sampled_from(sorted(EXPERIMENTS) + ["no-such-experiment"]),
+        "p": st.sampled_from([2, 3, 5, 7]),
+        "n": st.integers(0, 3),
+        "seed": st.integers(-2, 5),
+        "params": st.dictionaries(st.sampled_from(PARAM_NAMES), st.sampled_from(ODD_VALUES), max_size=3),
+    }
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=CONFIG_DOCS)
+def test_config_fuzz_exits_with_a_contract_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = {**doc, "output_dir": str(Path(tmp) / "out")}
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) in (EXIT_OK, EXIT_CONFIG, EXIT_CAP, EXIT_NUMERIC)
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, padic_calc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 #: a level at which every experiment runs in well under a second

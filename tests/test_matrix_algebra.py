@@ -1,12 +1,19 @@
 """Associated matrices, Schur norms, equivalence identity, inversion series."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from padic_calc import matrix_algebra
+from padic_calc.cli import _smooth_bump
 from padic_calc.core import TruncationContext
-from padic_calc.calculus import quantize
+from padic_calc.calculus import ellipticity_report, quantize
+from padic_calc.fourier import dft_axis
 from padic_calc.matrix_algebra import (
     EllipticityMarginError,
+    WienerColumn,
+    WienerReport,
     associated_matrix,
     equivalence_check,
     schur_norm,
@@ -166,3 +173,162 @@ def test_wiener_rejects_vanishing_symbol():
     table[0, ctx.N // 2] = 0.0  # kill one entry on the norm-2 shell
     with pytest.raises(EllipticityMarginError):
         wiener_experiment(Symbol(ctx, table), order=1.0, threshold=1)
+
+
+def wiener_loop(sym, order, threshold, r_values=(0, 1, 2, 3)):
+    """The column-by-column series, one transform per column per term: the oracle."""
+    ctx = sym.ctx
+    ell = ellipticity_report(sym, order, n_max=threshold)
+    if ell is None or ell.threshold > threshold:
+        raise EllipticityMarginError(f"symbol not elliptic of order {order} at threshold {threshold}")
+    high = np.flatnonzero(ctx.norms >= float(ctx.p) ** threshold)
+    columns = []
+    jr_sup = {r: 0.0 for r in r_values}
+    for u in high:
+        col = sym.table[:, u]
+        sup = float(np.max(np.abs(col)))
+        inf = float(np.min(np.abs(col)))
+        if sup == 0.0:
+            raise EllipticityMarginError(f"column u={u} vanishes identically")
+        delta = inf / sup
+        f = 1.0 - col / sup
+        contraction = float(np.max(np.abs(f)))
+        if contraction >= 1.0:
+            raise EllipticityMarginError(f"column u={u}: pointwise contraction factor {contraction:.6f} >= 1")
+        acc = np.ones(ctx.N, dtype=np.complex128)
+        term = f.astype(np.complex128)
+        l1_history = []
+        k = 0
+        while k < matrix_algebra.SERIES_MAX_TERMS:
+            spec_l1 = float(np.sum(np.abs(dft_axis(term, ctx, -1, axis=0) / ctx.N)))
+            l1_history.append(spec_l1)
+            if spec_l1 < matrix_algebra.SERIES_TOL:
+                break
+            acc += term
+            term = term * f
+            k += 1
+        else:
+            raise EllipticityMarginError(
+                f"column u={u}: series did not reach {matrix_algebra.SERIES_TOL} "
+                f"in {matrix_algebra.SERIES_MAX_TERMS} terms"
+            )
+        if len(l1_history) > 3:
+            warm = l1_history[2:]
+            measured = (warm[-1] / warm[0]) ** (1.0 / (len(warm) - 1)) if warm[0] > 0 else 0.0
+        else:
+            measured = 0.0
+        recip_series = acc / sup
+        recip_direct = 1.0 / col
+        recon = float(np.max(np.abs(recip_series - recip_direct)) / np.max(np.abs(recip_direct)))
+        columns.append(
+            WienerColumn(
+                u=int(u),
+                norm=float(ctx.norms[u]),
+                delta=delta,
+                ratio_bound=1.0 - delta,
+                measured_ratio=measured,
+                terms=len(l1_history),
+                recon_error=recon,
+            )
+        )
+        spec = np.abs(dft_axis(recip_direct.astype(np.complex128), ctx, -1, axis=0) / ctx.N)
+        for r in r_values:
+            val = float(np.sum(np.power(ctx.weights, float(r)) * spec)) * ctx.weights[u] ** order
+            jr_sup[r] = max(jr_sup[r], val)
+    return WienerReport(threshold=threshold, order=order, columns=columns, jr_constants=jr_sup)
+
+
+def perturbed_d1(ctx, seed=7):
+    """D^1 plus a smooth real bump of 0.1 times the margin on shell 1: the wiener experiment's input."""
+    lam = multiplier_table(VladimirovSpec(1.0, ctx.p), ctx)
+    margin = float(np.min(lam[ctx.norms >= float(ctx.p)]))
+    V = _smooth_bump(ctx, np.random.default_rng(seed), decay=6.0, scale=0.1 * margin)
+    return Symbol(ctx, lam[None, :] + V[:, None])
+
+
+def block_bytes(ctx):
+    """One row per block, seven rows per block, and every column in one block."""
+    return (16 * ctx.N, 16 * ctx.N * 7, 1 << 30)
+
+
+@pytest.mark.parametrize("p, n", [(2, 7), (3, 5), (5, 3), (2, 9), (7, 2)])
+def test_wiener_blocks_bit_identical_to_column_loop(monkeypatch, p, n):
+    ctx = TruncationContext(p, n)
+    sym = perturbed_d1(ctx)
+    for threshold in range(n + 1):
+        want = dataclasses.asdict(wiener_loop(sym, 1.0, threshold))
+        assert dataclasses.asdict(wiener_experiment(sym, 1.0, threshold)) == want
+        for nbytes in block_bytes(ctx):
+            monkeypatch.setattr(matrix_algebra, "SERIES_BLOCK_BYTES", nbytes)
+            assert dataclasses.asdict(wiener_experiment(sym, 1.0, threshold)) == want
+        monkeypatch.undo()
+
+
+def raised(fn, *args):
+    with pytest.raises(EllipticityMarginError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def sign_change(table, ctx, u):
+    """Flip the sign of column u on half the points: |sigma| is kept, the contraction is 2."""
+    table[ctx.N // 2 :, u] *= -1.0
+
+
+def slow_column(table, ctx, u):
+    """Scale column u into [0.1, 1] of its size: the series needs about 260 terms."""
+    table[:, u] *= 0.55 + 0.45 * np.cos(2 * np.pi * np.arange(ctx.N) / ctx.N)
+
+
+def test_wiener_sign_change_fails_like_the_loop():
+    ctx = TruncationContext(3, 3)
+    table = perturbed_d1(ctx).table.copy()
+    sign_change(table, ctx, 5)
+    sym = Symbol(ctx, table)
+    assert ellipticity_report(sym, 1.0, n_max=1) is not None
+    msg = raised(wiener_loop, sym, 1.0, 1)
+    assert msg == raised(wiener_experiment, sym, 1.0, 1)
+    assert msg.startswith("column u=5: pointwise contraction factor 2.000000")
+
+
+def test_wiener_term_limit_fails_like_the_loop(monkeypatch):
+    ctx = TruncationContext(2, 6)
+    sym = perturbed_d1(ctx)
+    monkeypatch.setattr(matrix_algebra, "SERIES_MAX_TERMS", 3)
+    msg = raised(wiener_loop, sym, 1.0, 1)
+    assert msg == raised(wiener_experiment, sym, 1.0, 1)
+    assert "did not reach" in msg
+    for nbytes in block_bytes(ctx):
+        monkeypatch.setattr(matrix_algebra, "SERIES_BLOCK_BYTES", nbytes)
+        assert raised(wiener_experiment, sym, 1.0, 1) == msg
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_wiener_inf_entry_fails_like_the_loop(monkeypatch):
+    # inf / inf makes the contraction NaN, which is not >= 1: the column runs its series and fails
+    ctx = TruncationContext(2, 4)
+    table = perturbed_d1(ctx).table.copy()
+    table[3, 5] = np.inf
+    sym = Symbol(ctx, table)
+    monkeypatch.setattr(matrix_algebra, "SERIES_MAX_TERMS", 50)
+    msg = raised(wiener_loop, sym, 1.0, 1)
+    assert msg == raised(wiener_experiment, sym, 1.0, 1)
+    assert msg.startswith("column u=5: series did not reach")
+
+
+@pytest.mark.parametrize("low_fault, high_fault", [(slow_column, sign_change), (sign_change, slow_column)])
+@pytest.mark.parametrize("u_high", [3, 29])
+def test_wiener_lowest_failing_column_wins(monkeypatch, low_fault, high_fault, u_high):
+    # at (2,5) with 4 rows per block, columns 1 and 3 share a block and 29 is in another;
+    # the slow column fails in the series, after the sign change was already seen
+    ctx = TruncationContext(2, 5)
+    table = perturbed_d1(ctx).table.copy()
+    low_fault(table, ctx, 1)
+    high_fault(table, ctx, u_high)
+    sym = Symbol(ctx, table)
+    assert ellipticity_report(sym, 1.0, n_max=1) is not None
+    monkeypatch.setattr(matrix_algebra, "SERIES_MAX_TERMS", 100)
+    monkeypatch.setattr(matrix_algebra, "SERIES_BLOCK_BYTES", 16 * ctx.N * 4)
+    msg = raised(wiener_loop, sym, 1.0, 1)
+    assert msg.startswith("column u=1:") and ("did not reach" in msg) == (low_fault is slow_column)
+    assert raised(wiener_experiment, sym, 1.0, 1) == msg

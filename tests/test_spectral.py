@@ -117,6 +117,21 @@ def test_op_norm_multiplier_complex_eigenvalues_and_length_check():
         op_norm_sobolev_multiplier(np.ones(7), TruncationContext(2, 3), 0.0, 1.0)
 
 
+def test_op_norm_multiplier_shell_powers_equal_full_powers():
+    # the powers are taken on the n+1 shell weights; the result must be the very
+    # float the N-entry powers gave, at both levels sobolev-bound uses, and also
+    # for eigenvalues that vary inside a shell
+    gen = rng()
+    for p, n in ((2, 7), (3, 4), (2, 20), (5, 3), (7, 0)):
+        for ctx in (TruncationContext(p, n), TruncationContext(p, n + 1)):
+            w = ctx.weights
+            noise = gen.normal(size=ctx.N) + 1j * gen.normal(size=ctx.N)
+            for lam in (multiplier_table(VladimirovSpec(1.0, p), ctx), noise * w**1.5):
+                for t, m in ((-1.0, 1.0), (0.0, 1.0), (2.0, 1.0), (0.3, -0.7)):
+                    full = float(np.max(np.power(w, t) * np.abs(lam) * np.power(w, -(t + m))))
+                    assert op_norm_sobolev_multiplier(lam, ctx, t, m) == full
+
+
 def test_norm_equivalence_for_multiplier():
     ctx = TruncationContext(2, 5)
     sym = Symbol.multiplier(ctx, ctx.weights**1.0)
