@@ -59,7 +59,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # numpy seeds need a non-negative integer; the --seed override passes here too
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"field 'seed' must be a non-negative integer, got {self.seed!r}")
 
     @staticmethod
@@ -77,7 +77,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {doc['experiment']!r}; see 'padic-calc list'")
         if not isinstance(doc["p"], int) or not is_prime(doc["p"]):
             raise ConfigError(f"field 'p' must be a prime integer, got {doc['p']!r}")
-        if not isinstance(doc["n"], int) or doc["n"] < 0:
+        if isinstance(doc["n"], bool) or not isinstance(doc["n"], int) or doc["n"] < 0:
             raise ConfigError(f"field 'n' must be a non-negative integer, got {doc['n']!r}")
         params = doc.get("params", {})
         if not isinstance(params, dict):
@@ -160,9 +160,6 @@ CAPS = {
 
 #: largest accepted 'trials'; a count of 1e300 passes as an integer and never ends
 MAX_TRIALS = 1000
-#: largest accepted Schur exponent 'r_max': <xi>^r stays far from overflow up to
-#: the schur-sweep cap (512^64 = 2^576), and at r = 120, p^n = 2^9 the sums are NaN
-MAX_SCHUR_R = 64
 
 
 def _require_size(cfg: ExperimentConfig) -> TruncationContext:
@@ -212,6 +209,23 @@ def _order(key: str, s: float, cfg: ExperimentConfig) -> float:
         if not np.isfinite(np.power(float(cfg.p), s * (cfg.n + 1))):
             raise ConfigError(f"param '{key}': |xi|^{s} overflows at level {cfg.n + 1}")
     return s
+
+
+def _exponent(key: str, default: int, cfg: ExperimentConfig) -> int:
+    """Integer power ``key`` in [0, k_max], the largest k with p^(k(n+1)) <= 2^1023.
+
+    <xi>^k and <xi>^-k then stay finite normal floats a level past n, and the
+    loops over 0..k that the power drives end (1e300 passes as an integer).
+    """
+    high = int(1023 // ((cfg.n + 1) * math.log2(cfg.p)))
+    return _param(cfg.params, key, default, integer=True, low=0, high=high)
+
+
+def _threshold(cfg: ExperimentConfig) -> int:
+    """Ellipticity threshold in [0, n] for the runners that scale a perturbation by the shells 1..n."""
+    if cfg.n == 0:
+        raise ConfigError(f"experiment '{cfg.experiment}' needs n >= 1: its perturbation is scaled by shells 1..n")
+    return _param(cfg.params, "threshold", 1, integer=True, low=0, high=cfg.n)
 
 
 # ----------------------------------------------------------------- experiments
@@ -308,8 +322,8 @@ def _run_seminorm_sweep(cfg, rng, out):
     m = _param(cfg.params, "m", s)
     rho = _param(cfg.params, "rho", 0.0, low=0.0, high=1.0)
     delta = _param(cfg.params, "delta", 0.0, low=0.0, high=1.0)
-    alpha_max = _param(cfg.params, "alpha_max", 3, integer=True, low=0)
-    beta_max = _param(cfg.params, "beta_max", 2, integer=True, low=0)
+    alpha_max = _exponent("alpha_max", 3, cfg)
+    beta_max = _exponent("beta_max", 2, cfg)
     sym = vladimirov_symbol(VladimirovSpec(s, cfg.p), ctx)
     rep = seminorm(sym, family, m=m, rho=rho, delta=delta, alpha_max=alpha_max, beta_max=beta_max)
     write_csv(out / "seminorm.csv", rep.to_csv_rows())
@@ -336,7 +350,7 @@ def _run_schur_sweep(cfg, rng, out):
     ctx = _require_size(cfg)
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     m = _param(cfg.params, "m", s)
-    r_max = _param(cfg.params, "r_max", 4, integer=True, low=0, high=MAX_SCHUR_R)
+    r_max = _exponent("r_max", 4, cfg)
     sym = vladimirov_symbol(VladimirovSpec(s, cfg.p), ctx)
     rep = equivalence_check(sym, m=m, r_max=r_max)
     rows = [("r", "m", "row_sup", "col_sup", "norm", "growth_ratio")]
@@ -363,7 +377,7 @@ def _smooth_bump(ctx, rng, decay: float, scale: float) -> np.ndarray:
 def _run_wiener(cfg, rng, out):
     ctx = _require_size(cfg)
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
-    threshold = _param(cfg.params, "threshold", 1, integer=True, low=0, high=cfg.n)
+    threshold = _threshold(cfg)
     eps_rel = _param(cfg.params, "perturbation", 0.1)
     decay = _param(cfg.params, "perturbation_decay", 6.0, low=0.0)
     spec = VladimirovSpec(s, cfg.p)
@@ -392,7 +406,7 @@ def _run_wiener(cfg, rng, out):
 def _run_parametrix(cfg, rng, out):
     ctx = _require_size(cfg)
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
-    threshold = _param(cfg.params, "threshold", 1, integer=True, low=0, high=cfg.n)
+    threshold = _threshold(cfg)
     eps_rel = _param(cfg.params, "perturbation", 0.1)
     decay = _param(cfg.params, "perturbation_decay", 8.0, low=0.0)
     spec = VladimirovSpec(s, cfg.p)

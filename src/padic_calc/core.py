@@ -53,7 +53,7 @@ class TruncationContext:
     iff they share ``(p, n)``.
     """
 
-    __slots__ = ("p", "n", "N", "_roots", "_valuations", "_norms", "_weights")
+    __slots__ = ("p", "n", "N", "_roots", "_valuations", "_norms", "_weights", "_shells")
 
     def __init__(self, p: int, n: int):
         if not isinstance(p, (int, np.integer)) or not is_prime(int(p)):
@@ -67,6 +67,7 @@ class TruncationContext:
         object.__setattr__(self, "_valuations", None)
         object.__setattr__(self, "_norms", None)
         object.__setattr__(self, "_weights", None)
+        object.__setattr__(self, "_shells", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncationContext is immutable")
@@ -118,8 +119,9 @@ class TruncationContext:
     @property
     def shells(self) -> np.ndarray:
         """Shell index per dual element: 0 for xi = 0, j for norm p^j."""
-        sh = self.n - self.valuations
-        return np.where(np.arange(self.N) == 0, 0, sh)
+        if self._shells is None:
+            object.__setattr__(self, "_shells", self.n - self.valuations)  # valuations[0] = n
+        return self._shells
 
     def character_column(self, u: int) -> np.ndarray:
         """Vector ``chi(u x)`` over all sample points x (exact roots of unity)."""

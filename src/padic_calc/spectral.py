@@ -115,15 +115,10 @@ def op_norm_sobolev_multiplier(lam: np.ndarray, ctx: TruncationContext, t: float
     lam = np.asarray(lam)
     if lam.shape != (ctx.N,):
         raise ValueError(f"multiplier needs {ctx.N} eigenvalues, got shape {lam.shape}")
-    # <xi> takes one value per shell, so the powers are taken on n+1 weights.  Shell
-    # j >= 1 is the multiples of p^(n-j) not divisible by p^(n-j+1): in a stride-p^(n-j)
-    # slice, the entries off every p-th.  Rounding is monotone, so the largest product
-    # on a shell is the product at its largest |lam|, the same float the N-entry form gives.
-    mod = np.abs(lam)
-    steps = [ctx.p ** (ctx.n - j) for j in range(1, ctx.n + 1)]
-    peak = np.array([mod[0]] + [mod[::d].reshape(-1, ctx.p)[:, 1:].max() for d in steps])
-    w = ctx.weights[[0] + steps]
-    return float(np.max(np.power(w, t) * peak * np.power(w, -(t + m))))
+    # <xi> takes one value per shell, so the powers are taken on the n+1 shell
+    # weights (index p^(n-j) lies on shell j) and gathered back by shell
+    w = ctx.weights[ctx.p ** (ctx.n - np.arange(ctx.n + 1)) % ctx.N]
+    return float(np.max(np.power(w, t)[ctx.shells] * np.abs(lam) * np.power(w, -(t + m))[ctx.shells]))
 
 
 @dataclass

@@ -28,7 +28,7 @@ from padic_calc.cli import (
 from padic_calc.core import TruncationContext
 from padic_calc.fourier import dft
 from padic_calc.spectral import op_norm_sobolev
-from padic_calc.symbols import vladimirov_symbol
+from padic_calc.symbols import FAMILIES, vladimirov_symbol
 from padic_calc.vladimirov import VladimirovSpec
 
 
@@ -55,6 +55,10 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"experiment": "heat", "p": 2, "n": 3, "bogus": 1})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "heat", "p": 2, "n": 3, "seed": "zero"})
+    # JSON true is a Python int subclass, not a level or a seed
+    for field_ in ({"n": True}, {"n": 3, "seed": True}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"experiment": "heat", "p": 2, **field_})
     cfg = ExperimentConfig.from_dict({"experiment": "heat", "p": 2, "n": 3})
     assert cfg.seed == 0 and cfg.params == {}
 
@@ -121,11 +125,16 @@ BAD_ORDERS = (1e-300, 1e6, 1000.0)
         *[("sobolev-bound", 2, {"t_values": [t]}) for t in (1e6, -1e6, 700.0)],
         # heat: <xi>^(2k) overflows at the top weight p^n
         *[("heat", 2, {"sobolev_orders": [k]}) for k in (1e6, 700.0)],
-        # counts that pass as integers but would never end, and a Schur exponent past the bound
+        # counts that pass as integers but would never end, and powers one past p^(k(n+1)) <= 2^1023
         ("transform-bench", 2, {"trials": 1e300}),
         ("compose-check", 2, {"trials": 1001}),
         ("schur-sweep", 0, {"r_max": 1e300}),
-        ("schur-sweep", 2, {"r_max": 65}),
+        *[("seminorm-sweep", 0, {k: 1e300}) for k in ("alpha_max", "beta_max")],
+        ("schur-sweep", 2, {"r_max": 342}),
+        ("seminorm-sweep", 9, {"alpha_max": 103}),
+        ("seminorm-sweep", 0, {"beta_max": 1024}),
+        # level 0 has no shell 1..n to scale the perturbation by
+        *[(e, 0, {"threshold": 0}) for e in ("wiener", "parametrix")],
     ],
 )
 def test_bad_params_exit_config(tmp_path, capsys, experiment, n, params):
@@ -135,6 +144,26 @@ def test_bad_params_exit_config(tmp_path, capsys, experiment, n, params):
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:") and "\n" not in err
+
+
+@pytest.mark.parametrize(
+    "experiment,params",
+    [("schur-sweep", {"r_max": 204})]
+    + [
+        ("seminorm-sweep", {"family": f, "alpha_max": a, "beta_max": b, "rho": 1, "delta": 1})
+        for f in FAMILIES
+        for a, b in ((204, 8), (8, 204))
+    ],
+)
+def test_powers_at_their_bound_stay_finite(tmp_path, capsys, experiment, params):
+    # p^(k(n+1)) <= 2^1023 at p=2, n=4 admits k = 204: every figure is still a finite float
+    cfg = write_config(
+        tmp_path, {"experiment": experiment, "p": 2, "n": 4, "output_dir": str(tmp_path / "out"), "params": params}
+    )
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    (csv,) = (tmp_path / "out").glob("*.csv")
+    rows = [line.split(",") for line in csv.read_text(encoding="utf-8").splitlines()[1:]]
+    assert rows and all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_run_writes_manifest_and_artifacts(tmp_path, capsys):
