@@ -27,7 +27,7 @@ from . import __version__
 from .calculus import NotEllipticError, compose_symbols, parametrix, quantize
 from .core import ConsistencyError, ResourceCapError, TruncationContext, is_prime
 from .fourier import LevelFunction, dft, forward, inverse, l2_norm, spectral_l2_norm
-from .matrix_algebra import EllipticityMarginError, equivalence_check, wiener_experiment
+from .matrix_algebra import EllipticityMarginError, multiplier_equivalence, wiener_experiment
 from .spectral import (
     counting_function,
     heat_evolve,
@@ -35,7 +35,7 @@ from .spectral import (
     variable_coefficient_generator,
     weyl_slope_fit,
 )
-from .symbols import FAMILIES, Symbol, seminorm, vladimirov_symbol
+from .symbols import FAMILIES, Symbol, multiplier_seminorm
 from .vladimirov import FORMULA_TAGS, VladimirovSpec, multiplier_table
 
 EXIT_OK = 0
@@ -142,14 +142,15 @@ def write_json(path: Path, obj) -> None:
 
 
 #: Largest p^n each experiment accepts; a larger level exits 3 (resource cap).
-#: The D^s spectra are O(N) closed forms; their p=2, n=20 figures are one fresh
-#: process with its default params (import included) on a 2-vCPU Xeon.
+#: The D^s spectra are O(N) closed forms, and the two sweeps read O(n^2) shell
+#: pairs off them; their p=2, n=20 figures are one fresh process with its
+#: default params (import included) on a 2-vCPU Xeon.
 CAPS = {
     "transform-bench": 4**7,
     "vladimirov-eigen": 2**20,  # 1.6 s, 184 MB peak RSS
-    "seminorm-sweep": 2**9,
+    "seminorm-sweep": 2**20,  # 0.17 s, 60 MB peak RSS; S_check keeps its own N^4 cap
     "compose-check": 2**7,
-    "schur-sweep": 2**9,
+    "schur-sweep": 2**20,  # 0.17 s, 60 MB peak RSS
     "wiener": 2**9,
     "parametrix": 2**8,
     "sobolev-bound": 2**20,  # 1.9 s, 216 MB peak RSS with s_values [0.5, 1, 2]
@@ -324,8 +325,8 @@ def _run_seminorm_sweep(cfg, rng, out):
     delta = _param(cfg.params, "delta", 0.0, low=0.0, high=1.0)
     alpha_max = _exponent("alpha_max", 3, cfg)
     beta_max = _exponent("beta_max", 2, cfg)
-    sym = vladimirov_symbol(VladimirovSpec(s, cfg.p), ctx)
-    rep = seminorm(sym, family, m=m, rho=rho, delta=delta, alpha_max=alpha_max, beta_max=beta_max)
+    profile = multiplier_table(VladimirovSpec(s, cfg.p), ctx)[ctx.shell_index]
+    rep = multiplier_seminorm(profile, ctx, family, m=m, rho=rho, delta=delta, alpha_max=alpha_max, beta_max=beta_max)
     write_csv(out / "seminorm.csv", rep.to_csv_rows())
     (out / "seminorm.json").write_text(rep.to_json() + "\n", encoding="utf-8")
     return [out / "seminorm.csv", out / "seminorm.json"]
@@ -351,8 +352,8 @@ def _run_schur_sweep(cfg, rng, out):
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     m = _param(cfg.params, "m", s)
     r_max = _exponent("r_max", 4, cfg)
-    sym = vladimirov_symbol(VladimirovSpec(s, cfg.p), ctx)
-    rep = equivalence_check(sym, m=m, r_max=r_max)
+    profile = multiplier_table(VladimirovSpec(s, cfg.p), ctx)[ctx.shell_index]
+    rep = multiplier_equivalence(profile, ctx, m=m, r_max=r_max)
     rows = [("r", "m", "row_sup", "col_sup", "norm", "growth_ratio")]
     for sr in rep.schur:
         rows.append((sr.r, sr.m, sr.row_sup, sr.col_sup, sr.norm, sr.growth_ratio))

@@ -123,6 +123,11 @@ class TruncationContext:
             object.__setattr__(self, "_shells", self.n - self.valuations)  # valuations[0] = n
         return self._shells
 
+    @property
+    def shell_index(self) -> np.ndarray:
+        """One dual index per shell, ``p^(n-j) mod N`` for shell j: the first index of each shell, in O(n)."""
+        return self.p ** (self.n - np.arange(self.n + 1)) % self.N
+
     def character_column(self, u: int) -> np.ndarray:
         """Vector ``chi(u x)`` over all sample points x (exact roots of unity)."""
         idx = (int(u) * np.arange(self.N, dtype=np.int64)) % self.N

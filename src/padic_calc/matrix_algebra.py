@@ -9,6 +9,14 @@ weighted variant, discount rows/columns by ``<.>^-m``.
 At truncation all sums are finite, so the identities tying Schur norms
 to weighted l1 norms of the symbol's x-spectrum (and of the adjoint
 symbol's) hold exactly and are exposed for testing.
+
+``equivalence_check`` runs both sides on the dense associated matrix of
+any symbol; no experiment calls it, and the tests use it as the dense
+reference.  ``multiplier_equivalence`` serves an x-independent radial
+symbol, such as D^s in ``schur-sweep``, from its (n+1)-entry shell
+profile: its associated matrix is exactly diagonal, so the Schur sums and
+the identity are read off the profile in closed form, with no transform
+and no N x N array.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .calculus import adjoint_symbol, ellipticity_report
 from .core import TruncationContext
 from .fourier import dft_axis
 from .operator_matrix import OperatorMatrix, schur_sums
-from .symbols import Symbol, SeminormReport, _ratio, _sub_dual_mask, seminorm
+from .symbols import Symbol, SeminormReport, _ratio, _sub_dual_mask, _sub_shells, multiplier_seminorm, seminorm
 
 #: relative level below which transform spectra count as rounding dust
 QUENCH_FLOOR = 1e-13
@@ -151,6 +159,25 @@ def equivalence_check(sym: Symbol, m: float, r_max: int = 4, alpha_max: int = 3,
         plain = max(row_sup, col_sup)
         gaps[r] = abs(plain - identity_value) / max(1.0, plain)
     return EquivalenceReport(m=m, seminorms=sem, schur=reports, identity_gaps=gaps)
+
+
+def multiplier_equivalence(
+    profile, ctx: TruncationContext, m: float, r_max: int = 4, alpha_max: int = 3, beta_max: int = 2
+) -> EquivalenceReport:
+    """``equivalence_check`` of the x-independent radial symbol with shell profile ``profile``.
+
+    Its associated matrix is diagonal, ``M[xi, xi] = profile[j]`` on shell
+    j, so every weighted Schur row and column sum is ``|profile[j]|
+    <xi>^-m`` whatever r is, and both sides of the spectral-sum identity
+    are ``max |profile|``: the gaps are exactly 0.  The seminorms come from
+    ``multiplier_seminorm``; no transform runs and no N x N array is built.
+    """
+    sem = multiplier_seminorm(profile, ctx, "S_tilde", m=m, rho=0.0, delta=0.0, alpha_max=alpha_max, beta_max=beta_max)
+    sums = np.abs(np.asarray(profile, dtype=np.complex128)) * np.power(ctx.weights[ctx.shell_index], -m)
+    norm = float(np.max(sums))
+    ratio = _ratio(norm, float(np.max(sums[_sub_shells(ctx)])))
+    reports = [SchurReport(float(r), m, norm, norm, norm, ratio) for r in range(r_max + 1)]
+    return EquivalenceReport(m=m, seminorms=sem, schur=reports, identity_gaps={r: 0.0 for r in range(r_max + 1)})
 
 
 @dataclass

@@ -116,8 +116,8 @@ def op_norm_sobolev_multiplier(lam: np.ndarray, ctx: TruncationContext, t: float
     if lam.shape != (ctx.N,):
         raise ValueError(f"multiplier needs {ctx.N} eigenvalues, got shape {lam.shape}")
     # <xi> takes one value per shell, so the powers are taken on the n+1 shell
-    # weights (index p^(n-j) lies on shell j) and gathered back by shell
-    w = ctx.weights[ctx.p ** (ctx.n - np.arange(ctx.n + 1)) % ctx.N]
+    # weights and gathered back by shell
+    w = ctx.weights[ctx.shell_index]
     return float(np.max(np.power(w, t)[ctx.shells] * np.abs(lam) * np.power(w, -(t + m))[ctx.shells]))
 
 

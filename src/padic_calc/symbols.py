@@ -25,8 +25,15 @@ truncation can only falsify membership or exhibit level-stable constants,
 never prove membership.  Each family is one private generator
 (``_s_ratios``, ``_s_tilde_ratios``, ``_s_check_ratios``) that yields,
 per (alpha, beta), the array of ratios of its difference expression to
-the class bound and the mask of the entries on the sub-dual; ``seminorm``
+the class bound and the mask of the entries on the sub-dual; ``_sweep``
 is the one reducer that turns these into the constants and growth ratios.
+
+Two routes feed it.  ``seminorm`` takes a ``Symbol`` and serves any
+symbol, x-dependent ones included, on the dense table.  An x-independent
+radial symbol, such as the D^s multiplier, goes through
+``multiplier_seminorm``: it takes the (n+1)-entry shell profile, sweeps
+shell pairs (``_shell_ratios``) and builds no N x N table.  Its reports
+are bit-identical to ``seminorm`` on ``Symbol.radial(ctx, profile)``.
 """
 
 from __future__ import annotations
@@ -89,8 +96,7 @@ class Symbol:
     def radial_profile(self) -> np.ndarray:
         """Per-x shell profile read off the table; raises unless radial within ``RADIAL_TOL``."""
         sh = self.ctx.shells
-        _, first = np.unique(sh, return_index=True)  # first dual index of each shell
-        prof = self.table[:, first]
+        prof = self.table[:, self.ctx.shell_index]
         scale = max(1.0, float(np.max(np.abs(self.table))))
         off = np.max(np.abs(self.table - prof[:, sh]), axis=0) > RADIAL_TOL * scale
         if np.any(off):
@@ -227,6 +233,11 @@ def _sub_dual_mask(ctx: TruncationContext) -> np.ndarray:
     return mask
 
 
+def _sub_shells(ctx: TruncationContext) -> np.ndarray:
+    """The sub-dual by shell: j <= n-1, and shell 0 (xi = 0) at every level."""
+    return np.arange(ctx.n + 1) <= max(ctx.n - 1, 0)
+
+
 def _ratio(full: float, sub: float) -> float:
     if sub == 0.0:
         return 1.0 if full == 0.0 else np.inf
@@ -253,21 +264,28 @@ def _xi_difference_sups(T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _s_ratios(sym: Symbol, m, rho, delta, alpha_max, beta_max):
-    """Family S: shell differences of the D^beta-differentiated radial profile.
+def _s_profile_ratios(prof, ctx, x_constant, m, rho, delta, alpha_max, beta_max):
+    """Family S on a per-x shell profile: shell differences of its D^beta derivative in x.
 
     Shell j = 0 (xi = 0) enters only at alpha = 0, with bound p^0 = 1;
-    alpha > n - 1 leaves no shell to difference, so C stays 0 there.
+    alpha > n - 1 leaves no shell to difference, so C stays 0 there.  A
+    profile constant in x is annihilated exactly by D^beta, so then beta >= 1
+    yields nothing.
     """
-    ctx = sym.ctx
-    prof = sym.radial_profile()
-    for beta in range(beta_max + 1):
+    sub = _sub_shells(ctx)
+    for beta in range(1 if x_constant else beta_max + 1):
         dprof = _dx(prof, ctx, float(beta)) if beta else prof
         for alpha in range(min(alpha_max, max(ctx.n - 1, 0)) + 1):
             vals = np.abs(np.diff(dprof[:, 1:], n=alpha, axis=1)) if alpha else np.abs(dprof)
             js = np.arange(1 if alpha else 0, ctx.n - alpha + 1)
             bound = np.power(float(ctx.p), js * (m - rho * alpha + delta * beta))
-            yield alpha, beta, vals / bound[None, :], (js <= ctx.n - 1) | (js == 0)
+            yield alpha, beta, vals / bound[None, :], sub[js]
+
+
+def _s_ratios(sym: Symbol, m, rho, delta, alpha_max, beta_max):
+    """Family S: the radial profile read off the table."""
+    constant = sym.multiplier_values() is not None
+    return _s_profile_ratios(sym.radial_profile(), sym.ctx, constant, m, rho, delta, alpha_max, beta_max)
 
 
 def _s_tilde_ratios(sym: Symbol, m, rho, delta, alpha_max, beta_max):
@@ -295,14 +313,18 @@ def _s_tilde_ratios(sym: Symbol, m, rho, delta, alpha_max, beta_max):
             yield alpha, beta, np.where(allowed, num / denom, 0.0), sub_allowed
 
 
+def _check_double_difference_cap(ctx: TruncationContext) -> None:
+    if ctx.N**4 > DOUBLE_DIFFERENCE_CAP:
+        raise ResourceCapError(
+            f"double-difference sweep needs {ctx.N}^4 = {ctx.N**4} cells, cap is {DOUBLE_DIFFERENCE_CAP}"
+        )
+
+
 def _s_check_ratios(sym: Symbol, m, rho, delta, alpha_max, beta_max):
     """Family S_check: double differences, by y in x and by eta in xi."""
     ctx = sym.ctx
     N = ctx.N
-    if N**4 > DOUBLE_DIFFERENCE_CAP:
-        raise ResourceCapError(
-            f"double-difference sweep needs {N}^4 = {N**4} cells, cap is {DOUBLE_DIFFERENCE_CAP}"
-        )
+    _check_double_difference_cap(ctx)
     # num[y, eta, xi] = max_x of the eta-difference in xi of R_y, where R_0 is
     # sigma and R_y (y > 0) its difference by y in x; eta = 0 holds max_x |R_y|
     cols = np.arange(N)
@@ -325,6 +347,67 @@ def _s_check_ratios(sym: Symbol, m, rho, delta, alpha_max, beta_max):
 _FAMILY_RATIOS = {"S": _s_ratios, "S_tilde": _s_tilde_ratios, "S_check": _s_check_ratios}
 
 
+def _shell_ratios(profile, ctx, family, m, rho, delta, alpha_max, beta_max):
+    """The three families of an x-independent radial symbol, read off its shell profile.
+
+    D^beta annihilates a symbol constant in x, so only beta = 0 yields.  Every
+    xi-difference is one between two shells: with eta on shell a and xi on
+    shell b, xi + eta stays on shell b when a < b (difference 0), lies on
+    shell a when a > b, and when a = b reaches every shell below a, and shell
+    a itself when p > 2 (difference 0 again).  The differences are thus
+    ``|profile[a] - profile[b]|`` over the pairs a > b, each divided by the
+    family's bound at (|eta|, |xi|) = (p^a, p^a), which is all S_tilde admits
+    under |eta| <= <xi>, and for S_check also at (p^a, p^b).  The zero
+    differences are left out: they change no maximum of these non-negative
+    ratios, since an a = b pair always comes with the pair (a, 0).  Each
+    ratio is the float operation the dense generator does on the same values,
+    so the constants are bit-identical to it.
+    """
+    if family == "S":
+        yield from _s_profile_ratios(profile[None, :], ctx, True, m, rho, delta, alpha_max, beta_max)
+        return
+    if family == "S_check":
+        _check_double_difference_cap(ctx)
+    w = ctx.weights[ctx.shell_index]
+    sub = _sub_shells(ctx)
+    yield 0, 0, np.abs(profile) / np.power(w, m), sub
+    a, b = np.tril_indices(ctx.n + 1, -1)  # all shell pairs a > b
+    diff = np.abs(profile[a] - profile[b])
+    for alpha in range(1, alpha_max + 1):
+        e = m - rho * alpha
+        if family == "S_tilde":
+            yield alpha, 0, diff / (np.power(w[a], alpha) * np.power(w[a], e)), sub[a]
+        else:
+            xi_w, eta_w = np.power(w, e), w[a] ** alpha
+            yield alpha, 0, np.concatenate([diff / (eta_w * xi_w[a]), diff / (eta_w * xi_w[b])]), np.tile(sub[a], 2)
+
+
+def _check_sweep_args(family, rho, delta, alpha_max, beta_max) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if not (0.0 <= rho <= 1.0 and 0.0 <= delta <= 1.0):
+        raise ValueError(f"rho and delta must lie in [0, 1], got rho={rho}, delta={delta}")
+    if alpha_max < 0 or beta_max < 0:
+        raise ValueError("alpha_max and beta_max must be non-negative")
+
+
+def _sweep(family, m, rho, delta, alpha_max, beta_max, ratio_iter) -> SeminormReport:
+    """Reduce a family's ``(alpha, beta, ratios, sub)`` records to a report.
+
+    Each record holds the ratio array of one class estimate and the mask
+    (broadcast to its shape) of the entries on the sub-dual.  ``C`` is the
+    max of ``ratios`` and ``Csub`` the max over ``sub``, both 0.0 on an
+    empty set; an (alpha, beta) not yielded keeps 0.0.
+    """
+    C = np.zeros((alpha_max + 1, beta_max + 1))
+    Csub = np.zeros_like(C)
+    for alpha, beta, ratios, sub in ratio_iter:
+        sel = ratios[np.broadcast_to(sub, ratios.shape)]
+        C[alpha, beta] = float(ratios.max()) if ratios.size else 0.0
+        Csub[alpha, beta] = float(sel.max()) if sel.size else 0.0
+    return SeminormReport(family, m, rho, delta, alpha_max, beta_max, C, np.vectorize(_ratio)(C, Csub))
+
+
 def seminorm(
     sym: Symbol,
     family: str,
@@ -341,27 +424,36 @@ def seminorm(
     side.  ``growth_ratio`` compares the sup over the full dual with the
     sup over the level-(n-1) sub-dual: bounded ratios are consistent with
     membership, growing ones falsify it.
-
-    Each family is a generator yielding ``(alpha, beta, ratios, sub)``:
-    the ratio array of one class estimate and the mask (broadcast to its
-    shape) of the entries on the sub-dual.  This function reduces them,
-    ``C`` to the max of ``ratios`` and ``Csub`` to the max over ``sub``,
-    both 0.0 on an empty set; an (alpha, beta) not yielded keeps 0.0.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if not (0.0 <= rho <= 1.0 and 0.0 <= delta <= 1.0):
-        raise ValueError(f"rho and delta must lie in [0, 1], got rho={rho}, delta={delta}")
-    if alpha_max < 0 or beta_max < 0:
-        raise ValueError("alpha_max and beta_max must be non-negative")
+    _check_sweep_args(family, rho, delta, alpha_max, beta_max)
+    args = (m, rho, delta, alpha_max, beta_max)
+    return _sweep(family, *args, _FAMILY_RATIOS[family](sym, *args))
 
-    C = np.zeros((alpha_max + 1, beta_max + 1))
-    Csub = np.zeros_like(C)
-    for alpha, beta, ratios, sub in _FAMILY_RATIOS[family](sym, m, rho, delta, alpha_max, beta_max):
-        sel = ratios[np.broadcast_to(sub, ratios.shape)]
-        C[alpha, beta] = float(ratios.max()) if ratios.size else 0.0
-        Csub[alpha, beta] = float(sel.max()) if sel.size else 0.0
-    return SeminormReport(family, m, rho, delta, alpha_max, beta_max, C, np.vectorize(_ratio)(C, Csub))
+
+def multiplier_seminorm(
+    profile,
+    ctx: TruncationContext,
+    family: str,
+    m: float,
+    rho: float = 0.0,
+    delta: float = 0.0,
+    alpha_max: int = 4,
+    beta_max: int = 4,
+) -> SeminormReport:
+    """``seminorm`` of the x-independent radial symbol with shell profile ``profile``.
+
+    ``profile[j]`` is the value on shell j (j = 0 for xi = 0), as in
+    ``Symbol.radial``.  The sweep runs on shell pairs in O(n^2) per
+    (alpha, beta), builds no N x N table, and reports what ``seminorm``
+    reports for ``Symbol.radial(ctx, profile)``; S_check keeps its
+    ``DOUBLE_DIFFERENCE_CAP``.
+    """
+    _check_sweep_args(family, rho, delta, alpha_max, beta_max)
+    profile = np.asarray(profile, dtype=np.complex128)
+    if profile.shape != (ctx.n + 1,):
+        raise ValueError(f"shell profile must have shape ({ctx.n + 1},), got {profile.shape}")
+    args = (m, rho, delta, alpha_max, beta_max)
+    return _sweep(family, *args, _shell_ratios(profile, ctx, family, *args))
 
 
 def amplitude_to_operator(a: Amplitude, cap: int = AMPLITUDE_CAP) -> OperatorMatrix:

@@ -28,8 +28,9 @@ from padic_calc.cli import (
 from padic_calc.core import TruncationContext
 from padic_calc.fourier import dft
 from padic_calc.spectral import op_norm_sobolev
-from padic_calc.symbols import FAMILIES, vladimirov_symbol
-from padic_calc.vladimirov import VladimirovSpec
+from padic_calc.matrix_algebra import equivalence_check
+from padic_calc.symbols import FAMILIES, seminorm, vladimirov_symbol
+from padic_calc.vladimirov import VladimirovSpec, multiplier_table
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -401,12 +402,76 @@ def test_vladimirov_eigen_is_level_independent_at_large_order(tmp_path, capsys):
     assert summary["matched_convention"] == "neither"
 
 
-@pytest.mark.parametrize("experiment", ["vladimirov-eigen", "weyl-count"])
+@pytest.mark.parametrize("experiment", ["vladimirov-eigen", "weyl-count", "schur-sweep", "seminorm-sweep"])
 def test_raised_caps(tmp_path, capsys, experiment):
     cfg = write_config(tmp_path, {"experiment": experiment, "p": 2, "n": 21, "output_dir": str(tmp_path / "out")})
     assert main(["run", "--config", str(cfg)]) == EXIT_CAP
     err = capsys.readouterr().err.strip()
     assert err.startswith("resource cap:") and str(2**20) in err and "\n" not in err
+
+
+def test_sweeps_run_above_the_old_cap(tmp_path, capsys):
+    # p^n = 2^14: an N x N table of the symbol would hold 2^28 complex entries
+    s = 1.3
+    for experiment in ("schur-sweep", "seminorm-sweep"):
+        cfg = write_config(
+            tmp_path,
+            {"experiment": experiment, "p": 2, "n": 14, "output_dir": str(tmp_path / experiment), "params": {"s": s}},
+            f"{experiment}.json",
+        )
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    ctx = TruncationContext(2, 14)
+    closed_form = np.max(np.abs(multiplier_table(VladimirovSpec(s, 2), ctx)) * ctx.weights ** (-s))
+    rows = (tmp_path / "schur-sweep" / "schur_sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5
+    for row in rows:
+        _, _, row_sup, col_sup, norm, growth = map(float, row.split(","))
+        assert row_sup == col_sup == norm == pytest.approx(closed_form, rel=1e-15)
+        assert 0.8 <= growth <= 1.25
+    doc = json.loads((tmp_path / "seminorm-sweep" / "seminorm.json").read_text())
+    assert doc["constants"][0][0] == pytest.approx(closed_form, rel=1e-15)
+
+
+@pytest.mark.parametrize("n,code", [(5, EXIT_OK), (6, EXIT_CAP)])
+def test_s_check_sweep_keeps_its_cap(tmp_path, capsys, n, code):
+    cfg = write_config(
+        tmp_path,
+        {
+            "experiment": "seminorm-sweep",
+            "p": 2,
+            "n": n,
+            "output_dir": str(tmp_path / "out"),
+            "params": {"family": "S_check"},
+        },
+    )
+    assert main(["run", "--config", str(cfg)]) == code
+    err = capsys.readouterr().err.strip()
+    assert code == EXIT_OK or (err.startswith("resource cap:") and "\n" not in err)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_seminorm_sweep_artifacts_equal_the_dense_route(tmp_path, capsys, family):
+    params = {"s": 1.3, "family": family, "rho": 0.5, "delta": 0.25}
+    doc = {"experiment": "seminorm-sweep", "p": 3, "n": 3, "output_dir": str(tmp_path), "params": params}
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    sym = vladimirov_symbol(VladimirovSpec(1.3, 3), TruncationContext(3, 3))
+    dense = seminorm(sym, family, m=1.3, rho=0.5, delta=0.25, alpha_max=3, beta_max=2)
+    assert (tmp_path / "seminorm.json").read_text() == dense.to_json() + "\n"
+
+
+def test_schur_sweep_artifacts_equal_the_dense_route(tmp_path, capsys):
+    doc = {"experiment": "schur-sweep", "p": 2, "n": 6, "output_dir": str(tmp_path), "params": {"s": 1.3}}
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    rep = equivalence_check(vladimirov_symbol(VladimirovSpec(1.3, 2), TruncationContext(2, 6)), m=1.3, r_max=4)
+    want = ["r,m,row_sup,col_sup,norm,growth_ratio"] + [
+        ",".join(fmt(v) for v in (sr.r, sr.m, sr.row_sup, sr.col_sup, sr.norm, sr.growth_ratio)) for sr in rep.schur
+    ]
+    assert (tmp_path / "schur_sweep.csv").read_text().splitlines() == want
 
 
 @pytest.mark.parametrize("family", ["S", "S_tilde", "S_check"])

@@ -144,3 +144,11 @@ def test_character_homomorphism(u, x1, x2):
     lhs = chi[(x1 + x2) % ctx.N]
     rhs = chi[x1] * chi[x2]
     assert abs(lhs - rhs) < 1e-12
+
+
+@pytest.mark.parametrize("p,n", [(2, 0), (2, 10), (3, 6), (5, 4), (7, 3)])
+def test_shell_index_is_the_first_index_of_each_shell(p, n):
+    ctx = TruncationContext(p, n)
+    _, first = np.unique(ctx.shells, return_index=True)
+    assert np.array_equal(ctx.shell_index, first)
+    assert np.array_equal(ctx.shells[ctx.shell_index], np.arange(n + 1))

@@ -1,6 +1,7 @@
 """Associated matrices, Schur norms, equivalence identity, inversion series."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from padic_calc.matrix_algebra import (
     WienerReport,
     associated_matrix,
     equivalence_check,
+    multiplier_equivalence,
     schur_norm,
     wiener_experiment,
 )
@@ -117,6 +119,47 @@ def test_equivalence_identity_for_generic_symbol():
     sym = random_symbol(ctx, rng())
     rep = equivalence_check(sym, m=0.0, r_max=3, alpha_max=1, beta_max=1)
     assert all(gap < 1e-10 for gap in rep.identity_gaps.values())
+
+
+@pytest.mark.parametrize(
+    "p,n", [(2, 0), (2, 1), (2, 5), (2, 8), (3, 0), (3, 3), (3, 5), (5, 2), (5, 3), (7, 1), (7, 2)]
+)
+def test_multiplier_equivalence_matches_dense_route(p, n):
+    ctx = TruncationContext(p, n)
+    for s in (0.7, 1.0, 2.3):
+        lam = multiplier_table(VladimirovSpec(s, p), ctx)
+        for m in (s, 0.0, -0.5):
+            fast = multiplier_equivalence(lam[ctx.shell_index], ctx, m=m, r_max=4)
+            dense = equivalence_check(vladimirov_symbol(VladimirovSpec(s, p), ctx), m=m, r_max=4)
+            assert np.array_equal(fast.seminorms.constants, dense.seminorms.constants)
+            assert np.array_equal(fast.seminorms.growth_ratio, dense.seminorms.growth_ratio)
+            assert fast.identity_gaps == {r: 0.0 for r in range(5)}
+            assert len(fast.schur) == len(dense.schur) == 5
+            diagonal = OperatorMatrix(ctx, np.diag(lam.astype(np.complex128)), "frequency")
+            for r, (got, want) in enumerate(zip(fast.schur, dense.schur)):
+                # the exact diagonal through the dense Schur sums gives the same floats
+                assert got == schur_norm(diagonal, r=float(r), m=m)
+                # the FFT route of equivalence_check is exact at p = 2; at p = 3 its
+                # off-diagonal rounding stays below 1e-12, at p >= 5 it does not
+                if p == 2:
+                    assert got == want
+                elif p == 3:
+                    for key in ("row_sup", "col_sup", "norm", "growth_ratio"):
+                        assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12, abs=0.0), (s, m, r, key)
+
+
+def test_multiplier_equivalence_is_r_independent_and_closed_form():
+    ctx = TruncationContext(3, 4)
+    s, m = 1.5, 0.5
+    lam = multiplier_table(VladimirovSpec(s, 3), ctx)
+    rep = multiplier_equivalence(lam[ctx.shell_index], ctx, m=m, r_max=3)
+    sums = np.abs(lam) * ctx.weights ** (-m)
+    sub = np.arange(ctx.N) % 3 == 0
+    for r, sr in enumerate(rep.schur):
+        assert (sr.r, sr.m) == (float(r), m)
+        assert sr.row_sup == sr.col_sup == sr.norm == pytest.approx(np.max(sums), rel=1e-15)
+        assert sr.growth_ratio == pytest.approx(np.max(sums) / np.max(sums[sub]), rel=1e-15)
+    assert json.loads(rep.to_json())["identity_gaps"] == {str(r): 0.0 for r in range(4)}
 
 
 def test_misclassified_order_blows_up_on_both_sides():

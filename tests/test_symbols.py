@@ -18,6 +18,7 @@ from padic_calc.symbols import (
     asymptotic_sum,
     delta_plus,
     dx_vladimirov,
+    multiplier_seminorm,
     partial_x_h,
     radial_delta,
     seminorm,
@@ -399,6 +400,75 @@ def test_seminorm_s_check_matches_brute_force(p, n):
     args = (0.25, 1.0, 0.5, 2, 2)
     rep = seminorm(Symbol(ctx, table), "S_check", *args)
     _assert_matches_oracle(rep, *_s_check_oracle(table, ctx, *args))
+
+
+@pytest.mark.parametrize("p,n", [(5, 3), (7, 2)])
+def test_s_family_of_a_multiplier_is_exactly_zero_at_positive_beta(p, n):
+    # D^beta annihilates a symbol constant in x; transforming it leaves rounding dust
+    sym = vladimirov_symbol(VladimirovSpec(1.1, p), TruncationContext(p, n))
+    rep = seminorm(sym, "S", m=1.1, rho=1.0, alpha_max=2, beta_max=2)
+    assert np.all(rep.constants[:, 1:] == 0.0)
+    assert np.all(rep.growth_ratio[:, 1:] == 1.0)
+    assert np.all(rep.constants[:n, 0] > 0.0)  # alpha <= n - 1 has shells to difference
+
+
+#: (m, rho, delta, alpha_max, beta_max) for the shell-route comparisons
+SWEEP_ARGS = [
+    (1.0, 0.0, 0.0, 3, 2),
+    (0.5, 1.0, 0.25, 3, 2),
+    (1.5, 0.5, 0.5, 4, 1),
+    (-0.7, 1.0, 1.0, 2, 3),
+    (0.0, 0.3, 0.0, 6, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "p,n,family",
+    [(p, n, f) for p, n in [(2, 0), (2, 1), (2, 5), (3, 3), (5, 2), (7, 1)] for f in ("S", "S_tilde", "S_check")]
+    + [(2, 8, "S"), (2, 8, "S_tilde")],  # S_check is capped at (2, 8)
+)
+def test_multiplier_seminorm_bit_identical_to_dense(p, n, family):
+    ctx = TruncationContext(p, n)
+    gen = np.random.default_rng(100 * p + n)
+    cases = {s: multiplier_table(VladimirovSpec(s, p), ctx)[ctx.shell_index] for s in (0.6, 1.0, 2.7)}
+    cases["random"] = gen.normal(size=n + 1) + 1j * gen.normal(size=n + 1)
+    for name, profile in cases.items():
+        sym = Symbol.radial(ctx, profile) if name == "random" else vladimirov_symbol(VladimirovSpec(name, p), ctx)
+        for args in SWEEP_ARGS:
+            fast = multiplier_seminorm(profile, ctx, family, *args)
+            dense = seminorm(sym, family, *args)
+            assert np.array_equal(fast.constants, dense.constants), (name, args)
+            assert np.array_equal(fast.growth_ratio, dense.growth_ratio), (name, args)
+            assert fast.to_json() == dense.to_json()
+
+
+def test_multiplier_seminorm_matches_brute_force():
+    args = (0.5, 1.0, 0.25, 3, 2)
+    for (p, n), family, oracle in [
+        ((2, 4), "S", _s_oracle),
+        ((3, 3), "S_tilde", _s_tilde_oracle),
+        ((5, 2), "S_tilde", _s_tilde_oracle),
+        ((3, 2), "S_check", _s_check_oracle),
+        ((2, 3), "S_check", _s_check_oracle),
+    ]:
+        ctx = TruncationContext(p, n)
+        profile = multiplier_table(VladimirovSpec(1.3, p), ctx)[ctx.shell_index]
+        table = np.tile(profile[ctx.shells], (ctx.N, 1)).astype(np.complex128)
+        data = table[:, ctx.shell_index] if family == "S" else table
+        _assert_matches_oracle(multiplier_seminorm(profile, ctx, family, *args), *oracle(data, ctx, *args))
+
+
+def test_multiplier_seminorm_keeps_the_checks_of_seminorm():
+    ctx = TruncationContext(2, 6)
+    profile = np.arange(ctx.n + 1.0)
+    with pytest.raises(ResourceCapError):
+        multiplier_seminorm(profile, ctx, "S_check", m=0.0)
+    with pytest.raises(ValueError):
+        multiplier_seminorm(profile, ctx, "mystery", m=0.0)
+    with pytest.raises(ValueError):
+        multiplier_seminorm(profile, ctx, "S", m=0.0, rho=1.5)
+    with pytest.raises(ValueError):
+        multiplier_seminorm(profile[:-1], ctx, "S", m=0.0)
 
 
 def slow_amplitude_operator(a):
