@@ -99,11 +99,9 @@ def ellipticity_report(sym: Symbol, order: float, n_max: int | None = None) -> E
     if n_max is None:
         n_max = ctx.n
     n_max = min(n_max, ctx.n)
-    sh = ctx.shells
     ratios = np.abs(sym.table) / np.power(ctx.weights, order)[None, :]
-    shell_mins = np.array(
-        [float(ratios[:, sh == j].min()) if np.any(sh == j) else np.inf for j in range(0, ctx.n + 1)]
-    )
+    shell_mins = np.full(ctx.n + 1, np.inf)
+    np.minimum.at(shell_mins, ctx.shells, ratios.min(axis=0))
     for N in range(0, n_max + 1):
         tail = shell_mins[N:]
         if tail.size and tail.min() > 0.0:

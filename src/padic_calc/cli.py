@@ -143,15 +143,17 @@ def write_json(path: Path, obj) -> None:
 
 #: Largest p^n each experiment accepts; a larger level exits 3 (resource cap).
 #: The D^s spectra are O(N) closed forms, and the two sweeps read O(n^2) shell
-#: pairs off them; their p=2, n=20 figures are one fresh process with its
-#: default params (import included) on a 2-vCPU Xeon.
+#: pairs off them.  Each figure is one fresh process at p=2 and the cap level
+#: (n=20; n=11 for wiener) with its default params (import included) on a
+#: 2-vCPU Xeon.  wiener runs one series per shell but still builds its N x N
+#: table, which sets its cap.
 CAPS = {
     "transform-bench": 4**7,
     "vladimirov-eigen": 2**20,  # 1.6 s, 184 MB peak RSS
     "seminorm-sweep": 2**20,  # 0.17 s, 60 MB peak RSS; S_check keeps its own N^4 cap
     "compose-check": 2**7,
     "schur-sweep": 2**20,  # 0.17 s, 60 MB peak RSS
-    "wiener": 2**9,
+    "wiener": 2**11,  # 0.44-0.53 s, 169 MB peak RSS; n=12 took 1.4 s, 565 MB
     "parametrix": 2**8,
     "sobolev-bound": 2**20,  # 1.9 s, 216 MB peak RSS with s_values [0.5, 1, 2]
     "weyl-count": 2**20,  # 1.5 s, 123 MB peak RSS
@@ -220,6 +222,12 @@ def _exponent(key: str, default: int, cfg: ExperimentConfig) -> int:
     """
     high = int(1023 // ((cfg.n + 1) * math.log2(cfg.p)))
     return _param(cfg.params, key, default, integer=True, low=0, high=high)
+
+
+def _weight_order(key: str, default: float, cfg: ExperimentConfig) -> float:
+    """Real order ``key`` with |key|(n+1) log2 p <= 1023: <xi>^key stays a finite, nonzero float a level past n."""
+    high = 1023 / ((cfg.n + 1) * math.log2(cfg.p))
+    return _param(cfg.params, key, default, low=-high, high=high)
 
 
 def _threshold(cfg: ExperimentConfig) -> int:
@@ -320,7 +328,7 @@ def _run_seminorm_sweep(cfg, rng, out):
     ctx = _require_size(cfg)
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     family = _choice(cfg.params, "family", "S_tilde", FAMILIES)
-    m = _param(cfg.params, "m", s)
+    m = _weight_order("m", s, cfg)
     rho = _param(cfg.params, "rho", 0.0, low=0.0, high=1.0)
     delta = _param(cfg.params, "delta", 0.0, low=0.0, high=1.0)
     alpha_max = _exponent("alpha_max", 3, cfg)
@@ -350,7 +358,7 @@ def _run_compose_check(cfg, rng, out):
 def _run_schur_sweep(cfg, rng, out):
     ctx = _require_size(cfg)
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
-    m = _param(cfg.params, "m", s)
+    m = _weight_order("m", s, cfg)
     r_max = _exponent("r_max", 4, cfg)
     profile = multiplier_table(VladimirovSpec(s, cfg.p), ctx)[ctx.shell_index]
     rep = multiplier_equivalence(profile, ctx, m=m, r_max=r_max)

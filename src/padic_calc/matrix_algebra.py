@@ -17,6 +17,11 @@ symbol, such as D^s in ``schur-sweep``, from its (n+1)-entry shell
 profile: its associated matrix is exactly diagonal, so the Schur sums and
 the identity are read off the profile in closed form, with no transform
 and no N x N array.
+
+``wiener_experiment`` runs the inversion series column by column.  On a
+table that is exactly radial in xi, such as ``lambda(|xi|) + V(x)`` in the
+``wiener`` experiment, the columns of a shell are equal, so one series
+runs per shell and its floats are reported for every column of the shell.
 """
 
 from __future__ import annotations
@@ -136,19 +141,19 @@ def equivalence_check(sym: Symbol, m: float, r_max: int = 4, alpha_max: int = 3,
     Schur norms for r = 0..r_max, and the exact-identity gaps tying each
     unweighted Schur norm to the weighted l1 norms of the x-spectra of
     the symbol and of its adjoint symbol.  The identity is exact at
-    truncation; to keep the comparison meaningful under the <.>^r weight
-    amplification, spectra below a 1e-13 relative floor are zeroed on
-    both sides before weighting (they are rounding, not structure).
+    truncation; to keep the Schur norms and the identity meaningful under
+    the <.>^r weight amplification, the associated matrix and both spectra
+    are zeroed below a 1e-13 relative floor before weighting (that is
+    transform rounding, not structure).
     """
     ctx = sym.ctx
     sem = seminorm(sym, "S_tilde", m=m, rho=0.0, delta=0.0, alpha_max=alpha_max, beta_max=beta_max)
-    M = associated_matrix(sym)
-    reports = [schur_norm(M, r=float(r), m=m) for r in range(r_max + 1)]
+    M_clean = _quench(associated_matrix(sym).entries)
+    reports = [schur_norm(M_clean, r=float(r), m=m, ctx=ctx) for r in range(r_max + 1)]
 
     sighat = _quench(dft_axis(sym.table, ctx, -1, axis=0) / ctx.N)
     adj = adjoint_symbol(sym)
     adjhat = _quench(dft_axis(adj.table, ctx, -1, axis=0) / ctx.N)
-    M_clean = _quench(M.entries)
     gaps = {}
     for r in range(r_max + 1):
         w = np.power(ctx.weights, float(r))
@@ -222,24 +227,31 @@ def wiener_experiment(
     the direct pointwise reciprocal.  Weighted l1 norms of the spectrum
     of 1/sigma feed the inverse-closedness constants.
 
-    The columns run in blocks of SERIES_BLOCK_BYTES, held as rows, so each
-    series term is one transform per block; a column leaves the block when
-    it converges.  Every float operation is the one the column-by-column
-    loop does, so the report is bit-identical to it, and the first failing
-    column in column order raises.
+    A table that is exactly radial in xi (``Symbol.shell_profile``) has
+    equal columns on each shell, so the series runs once per shell, on its
+    first column ``ctx.shell_index[j]``, and every column of the shell
+    reports those floats.  Other tables run every column.  The columns run
+    in blocks of SERIES_BLOCK_BYTES, held as rows, so each series term is
+    one transform per block; a column leaves the block when it converges.
+    Every float operation is the one the column-by-column loop does, so the
+    report is bit-identical to it, and the first failing column in column
+    order raises.
     """
     ctx = sym.ctx
     ell = ellipticity_report(sym, order, n_max=threshold)
     if ell is None or ell.threshold > threshold:
         raise EllipticityMarginError(f"symbol not elliptic of order {order} at threshold {threshold}")
     high = np.flatnonzero(ctx.norms >= float(ctx.p) ** threshold)
+    # on a radial table, the first column of each shell (its lowest u) runs for all of the shell
+    key = high if sym.shell_profile() is None else ctx.shell_index[ctx.shells[high]]
+    reps, src = np.unique(key, return_inverse=True)
     block = max(1, SERIES_BLOCK_BYTES // (16 * ctx.N))
     weights = ctx.weights
     weights_r = {r: np.power(weights, float(r)) for r in r_values}
-    columns = []
+    records = []
     jr_sup = {r: 0.0 for r in r_values}
-    for start in range(0, high.size, block):
-        us = high[start : start + block]
+    for start in range(0, reps.size, block):
+        us = reps[start : start + block]
         cols = np.ascontiguousarray(sym.table[:, us].T)
         sup = np.max(np.abs(cols), axis=1)
         inf = np.min(np.abs(cols), axis=1)
@@ -289,17 +301,10 @@ def wiener_experiment(
             measured = 0.0
             if terms[i] > 3 and first[i] > 0:
                 measured = (float(last[i]) / float(first[i])) ** (1.0 / (int(terms[i]) - 3))
-            columns.append(
-                WienerColumn(
-                    u=int(u),
-                    norm=float(ctx.norms[u]),
-                    delta=delta,
-                    ratio_bound=1.0 - delta,
-                    measured_ratio=measured,
-                    terms=int(terms[i]),
-                    recon_error=float(recon[i]),
-                )
-            )
+            records.append((delta, 1.0 - delta, measured, int(terms[i]), float(recon[i])))
             for r in r_values:
                 jr_sup[r] = max(jr_sup[r], float(jr[r][i]) * weights[u] ** order)
+    columns = [
+        WienerColumn(u, norm, *records[i]) for u, norm, i in zip(high.tolist(), ctx.norms[high].tolist(), src.tolist())
+    ]
     return WienerReport(threshold=threshold, order=order, columns=columns, jr_constants=jr_sup)

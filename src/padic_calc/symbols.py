@@ -5,8 +5,10 @@ indices u, and the table is all it stores.  Structure is read off the
 table: a Fourier multiplier is a table whose rows are all exactly equal
 (``Symbol.multiplier_values``), and a radial symbol depends on u only
 through |xi|_p, with a per-x profile over shells j = 0 for xi = 0 and
-j = 1..n for norm p^j (``Symbol.radial_profile``).  ``Symbol.multiplier``
-and ``Symbol.radial`` expand a vector or a profile into a table exactly.
+j = 1..n for norm p^j (``Symbol.shell_profile`` when the table is exactly
+radial, ``Symbol.radial_profile`` within ``RADIAL_TOL``).
+``Symbol.multiplier`` and ``Symbol.radial`` expand a vector or a profile
+into a table exactly.
 
 Difference operators:
 
@@ -28,12 +30,16 @@ per (alpha, beta), the array of ratios of its difference expression to
 the class bound and the mask of the entries on the sub-dual; ``_sweep``
 is the one reducer that turns these into the constants and growth ratios.
 
-Two routes feed it.  ``seminorm`` takes a ``Symbol`` and serves any
-symbol, x-dependent ones included, on the dense table.  An x-independent
-radial symbol, such as the D^s multiplier, goes through
-``multiplier_seminorm``: it takes the (n+1)-entry shell profile, sweeps
-shell pairs (``_shell_ratios``) and builds no N x N table.  Its reports
-are bit-identical to ``seminorm`` on ``Symbol.radial(ctx, profile)``.
+Two routes feed it.  The dense generators serve any table.  The shell
+route (``_shell_ratios``) reads a radial symbol off its plain ``(N_x,
+n+1)`` shell profile, ``N_x = 1`` for a multiplier: it sweeps shell pairs,
+with xi-differences ``max_x |P[:, a] - P[:, b]|``, and builds no N x N
+array.  ``seminorm`` sends S_tilde on an exactly radial table, x-dependent
+ones included, down the shell route, and everything else down the dense
+one; S_check on x-dependent tables stays dense.  ``multiplier_seminorm``
+takes the (n+1)-entry profile of an x-independent radial symbol, such as
+D^s, for all three families.  The shell route's reports are bit-identical
+to the dense generators' on ``Symbol.radial(ctx, profile)``.
 """
 
 from __future__ import annotations
@@ -92,6 +98,11 @@ class Symbol:
         """Row 0 when every row equals it exactly (sigma independent of x), else None."""
         row = self.table[0]
         return row if np.all(self.table == row[None, :]) else None
+
+    def shell_profile(self) -> np.ndarray | None:
+        """Per-x shell profile when the table equals its expansion exactly (radial in xi), else None."""
+        prof = self.table[:, self.ctx.shell_index]
+        return prof if np.all(self.table == prof[:, self.ctx.shells]) else None
 
     def radial_profile(self) -> np.ndarray:
         """Per-x shell profile read off the table; raises unless radial within ``RADIAL_TOL``."""
@@ -348,38 +359,44 @@ _FAMILY_RATIOS = {"S": _s_ratios, "S_tilde": _s_tilde_ratios, "S_check": _s_chec
 
 
 def _shell_ratios(profile, ctx, family, m, rho, delta, alpha_max, beta_max):
-    """The three families of an x-independent radial symbol, read off its shell profile.
+    """The three families of a radial symbol, read off its ``(N_x, n+1)`` shell profile.
 
-    D^beta annihilates a symbol constant in x, so only beta = 0 yields.  Every
-    xi-difference is one between two shells: with eta on shell a and xi on
-    shell b, xi + eta stays on shell b when a < b (difference 0), lies on
-    shell a when a > b, and when a = b reaches every shell below a, and shell
-    a itself when p > 2 (difference 0 again).  The differences are thus
-    ``|profile[a] - profile[b]|`` over the pairs a > b, each divided by the
-    family's bound at (|eta|, |xi|) = (p^a, p^a), which is all S_tilde admits
-    under |eta| <= <xi>, and for S_check also at (p^a, p^b).  The zero
+    Every xi-difference is one between two shells: with eta on shell a and
+    xi on shell b, xi + eta stays on shell b when a < b (difference 0), lies
+    on shell a when a > b, and when a = b reaches every shell below a, and
+    shell a itself when p > 2 (difference 0 again).  The differences are
+    thus ``max_x |P[:, a] - P[:, b]|`` over the pairs a > b, each divided by
+    the family's bound at (|eta|, |xi|) = (p^a, p^a), which is all S_tilde
+    admits under |eta| <= <xi>, and for S_check also at (p^a, p^b).  The zero
     differences are left out: they change no maximum of these non-negative
-    ratios, since an a = b pair always comes with the pair (a, 0).  Each
-    ratio is the float operation the dense generator does on the same values,
-    so the constants are bit-identical to it.
+    ratios, since an a = b pair always comes with the pair (a, 0).  For
+    beta >= 1, S_tilde takes the same differences of D^beta P; a profile
+    constant in x is annihilated exactly, so then only beta = 0 yields.
+    S_check is served only for x-constant profiles.  Each ratio is the float
+    operation the dense generator does on the same values, so the constants
+    are bit-identical to it.
     """
+    x_constant = bool(np.all(profile == profile[0]))
     if family == "S":
-        yield from _s_profile_ratios(profile[None, :], ctx, True, m, rho, delta, alpha_max, beta_max)
+        yield from _s_profile_ratios(profile, ctx, x_constant, m, rho, delta, alpha_max, beta_max)
         return
     if family == "S_check":
         _check_double_difference_cap(ctx)
     w = ctx.weights[ctx.shell_index]
     sub = _sub_shells(ctx)
-    yield 0, 0, np.abs(profile) / np.power(w, m), sub
     a, b = np.tril_indices(ctx.n + 1, -1)  # all shell pairs a > b
-    diff = np.abs(profile[a] - profile[b])
-    for alpha in range(1, alpha_max + 1):
-        e = m - rho * alpha
-        if family == "S_tilde":
-            yield alpha, 0, diff / (np.power(w[a], alpha) * np.power(w[a], e)), sub[a]
-        else:
-            xi_w, eta_w = np.power(w, e), w[a] ** alpha
-            yield alpha, 0, np.concatenate([diff / (eta_w * xi_w[a]), diff / (eta_w * xi_w[b])]), np.tile(sub[a], 2)
+    for beta in range(1 if x_constant else beta_max + 1):
+        P = _dx(profile, ctx, float(beta)) if beta else profile
+        yield 0, beta, np.max(np.abs(P), axis=0) / np.power(w, m + delta * beta), sub
+        diff = np.max(np.abs(P[:, a] - P[:, b]), axis=0)
+        for alpha in range(1, alpha_max + 1):
+            e = m - rho * alpha + delta * beta
+            if family == "S_tilde":
+                yield alpha, beta, diff / (np.power(w[a], alpha) * np.power(w[a], e)), sub[a]
+            else:
+                xi_w, eta_w = np.power(w, e), w[a] ** alpha
+                ratios = np.concatenate([diff / (eta_w * xi_w[a]), diff / (eta_w * xi_w[b])])
+                yield alpha, beta, ratios, np.tile(sub[a], 2)
 
 
 def _check_sweep_args(family, rho, delta, alpha_max, beta_max) -> None:
@@ -427,6 +444,9 @@ def seminorm(
     """
     _check_sweep_args(family, rho, delta, alpha_max, beta_max)
     args = (m, rho, delta, alpha_max, beta_max)
+    profile = sym.shell_profile() if family == "S_tilde" else None
+    if profile is not None:
+        return _sweep(family, *args, _shell_ratios(profile, sym.ctx, family, *args))
     return _sweep(family, *args, _FAMILY_RATIOS[family](sym, *args))
 
 
@@ -453,7 +473,7 @@ def multiplier_seminorm(
     if profile.shape != (ctx.n + 1,):
         raise ValueError(f"shell profile must have shape ({ctx.n + 1},), got {profile.shape}")
     args = (m, rho, delta, alpha_max, beta_max)
-    return _sweep(family, *args, _shell_ratios(profile, ctx, family, *args))
+    return _sweep(family, *args, _shell_ratios(profile[None, :], ctx, family, *args))
 
 
 def amplitude_to_operator(a: Amplitude, cap: int = AMPLITUDE_CAP) -> OperatorMatrix:

@@ -224,6 +224,24 @@ def test_ellipticity_report_cases():
     assert rep.threshold == 0 and rep.constant == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("p,n", [(2, 0), (2, 7), (3, 4), (5, 3), (7, 2)])
+def test_ellipticity_shell_mins_equal_the_masked_scans(p, n):
+    ctx = TruncationContext(p, n)
+    gen = np.random.default_rng(10 * p + n)
+    lam = multiplier_table(VladimirovSpec(1.0, p), ctx)
+    tables = [
+        gen.normal(size=(ctx.N, ctx.N)) + 1j * gen.normal(size=(ctx.N, ctx.N)),
+        lam[None, :] + 0.1 * gen.normal(size=ctx.N)[:, None],
+        np.tile(lam + 1j, (ctx.N, 1)),
+    ]
+    for table in tables:
+        for order in (0.0, 1.0, -0.5):
+            rep = ellipticity_report(Symbol(ctx, table), order)
+            ratios = np.abs(table) / np.power(ctx.weights, order)[None, :]
+            want = np.array([float(ratios[:, ctx.shells == j].min()) for j in range(n + 1)])
+            assert rep is not None and np.array_equal(rep.shell_mins, want)
+
+
 def test_parametrix_multiplier_cut_modes_only():
     ctx = TruncationContext(2, 5)
     sym = Symbol.multiplier(ctx, ctx.weights**1.5)

@@ -29,7 +29,7 @@ from padic_calc.core import TruncationContext
 from padic_calc.fourier import dft
 from padic_calc.spectral import op_norm_sobolev
 from padic_calc.matrix_algebra import equivalence_check
-from padic_calc.symbols import FAMILIES, seminorm, vladimirov_symbol
+from padic_calc.symbols import _FAMILY_RATIOS, FAMILIES, _sweep, vladimirov_symbol
 from padic_calc.vladimirov import VladimirovSpec, multiplier_table
 
 
@@ -136,6 +136,8 @@ BAD_ORDERS = (1e-300, 1e6, 1000.0)
         ("seminorm-sweep", 0, {"beta_max": 1024}),
         # level 0 has no shell 1..n to scale the perturbation by
         *[(e, 0, {"threshold": 0}) for e in ("wiener", "parametrix")],
+        # orders m with |m|(n+1) log2 p past 1023 (255.75 at p=2, n=3)
+        *[(e, 3, {"m": m}) for e in ("schur-sweep", "seminorm-sweep") for m in (-1e300, 256.0, -256.0)],
     ],
 )
 def test_bad_params_exit_config(tmp_path, capsys, experiment, n, params):
@@ -154,10 +156,11 @@ def test_bad_params_exit_config(tmp_path, capsys, experiment, n, params):
         ("seminorm-sweep", {"family": f, "alpha_max": a, "beta_max": b, "rho": 1, "delta": 1})
         for f in FAMILIES
         for a, b in ((204, 8), (8, 204))
-    ],
+    ]
+    + [(e, {"m": m}) for e in ("schur-sweep", "seminorm-sweep") for m in (1023 / 5, -1023 / 5)],
 )
 def test_powers_at_their_bound_stay_finite(tmp_path, capsys, experiment, params):
-    # p^(k(n+1)) <= 2^1023 at p=2, n=4 admits k = 204: every figure is still a finite float
+    # p^(k(n+1)) <= 2^1023 at p=2, n=4 admits k = 204 and |m| = 204.6: every figure is still a finite float
     cfg = write_config(
         tmp_path, {"experiment": experiment, "p": 2, "n": 4, "output_dir": str(tmp_path / "out"), "params": params}
     )
@@ -410,6 +413,22 @@ def test_raised_caps(tmp_path, capsys, experiment):
     assert err.startswith("resource cap:") and str(2**20) in err and "\n" not in err
 
 
+@pytest.mark.parametrize("n,code", [(10, EXIT_OK), (12, EXIT_CAP)])
+def test_wiener_cap(tmp_path, capsys, n, code):
+    doc = {"experiment": "wiener", "p": 2, "n": n, "seed": 7, "output_dir": str(tmp_path / "out")}
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", str(cfg)]) == code
+    err = capsys.readouterr().err.strip()
+    if code == EXIT_CAP:
+        assert err.startswith("resource cap:") and str(2**11) in err and "\n" not in err
+        return
+    rows = [line.split(",") for line in (tmp_path / "out" / "wiener.csv").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, 2**n))  # one row per u above xi = 0
+    ctx = TruncationContext(2, n)
+    for row in rows:  # each shell reports the floats of its first column
+        assert row[1:] == rows[int(ctx.shell_index[ctx.shells[int(row[0])]]) - 1][1:]
+
+
 def test_sweeps_run_above_the_old_cap(tmp_path, capsys):
     # p^n = 2^14: an N x N table of the symbol would hold 2^28 complex entries
     s = 1.3
@@ -458,7 +477,8 @@ def test_seminorm_sweep_artifacts_equal_the_dense_route(tmp_path, capsys, family
     assert main(["run", "--config", str(cfg)]) == EXIT_OK
     capsys.readouterr()
     sym = vladimirov_symbol(VladimirovSpec(1.3, 3), TruncationContext(3, 3))
-    dense = seminorm(sym, family, m=1.3, rho=0.5, delta=0.25, alpha_max=3, beta_max=2)
+    args = (1.3, 0.5, 0.25, 3, 2)
+    dense = _sweep(family, *args, _FAMILY_RATIOS[family](sym, *args))  # seminorm would take the shell route
     assert (tmp_path / "seminorm.json").read_text() == dense.to_json() + "\n"
 
 

@@ -139,11 +139,11 @@ def test_multiplier_equivalence_matches_dense_route(p, n):
             for r, (got, want) in enumerate(zip(fast.schur, dense.schur)):
                 # the exact diagonal through the dense Schur sums gives the same floats
                 assert got == schur_norm(diagonal, r=float(r), m=m)
-                # the FFT route of equivalence_check is exact at p = 2; at p = 3 its
-                # off-diagonal rounding stays below 1e-12, at p >= 5 it does not
+                # the FFT route of equivalence_check is exact at p = 2; at p >= 3 its
+                # quenched matrix keeps only the diagonal, which rounds below 1e-12
                 if p == 2:
                     assert got == want
-                elif p == 3:
+                else:
                     for key in ("row_sup", "col_sup", "norm", "growth_ratio"):
                         assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12, abs=0.0), (s, m, r, key)
 
@@ -305,6 +305,52 @@ def test_wiener_blocks_bit_identical_to_column_loop(monkeypatch, p, n):
             monkeypatch.setattr(matrix_algebra, "SERIES_BLOCK_BYTES", nbytes)
             assert dataclasses.asdict(wiener_experiment(sym, 1.0, threshold)) == want
         monkeypatch.undo()
+
+
+def outcome(fn, *args):
+    """The report as a dict, or the type and message of the error it raises."""
+    try:
+        return dataclasses.asdict(fn(*args))
+    except EllipticityMarginError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("p, n", [(2, 7), (3, 4), (5, 3), (7, 2)])
+@pytest.mark.parametrize("factor", [1.0 + 1e-3, -1.0])
+def test_wiener_non_radial_blocks_bit_identical_to_column_loop(monkeypatch, p, n, factor):
+    # one entry off its shell value sends the table down the block route; -1 makes its column fail
+    ctx = TruncationContext(p, n)
+    table = perturbed_d1(ctx).table.copy()
+    table[1, ctx.N - 1] *= factor
+    sym = Symbol(ctx, table)
+    assert sym.shell_profile() is None
+    for threshold in range(n + 1):
+        want = outcome(wiener_loop, sym, 1.0, threshold)
+        assert outcome(wiener_experiment, sym, 1.0, threshold) == want
+        for nbytes in block_bytes(ctx):
+            monkeypatch.setattr(matrix_algebra, "SERIES_BLOCK_BYTES", nbytes)
+            assert outcome(wiener_experiment, sym, 1.0, threshold) == want
+        monkeypatch.undo()
+    assert factor > 0 or "pointwise contraction factor" in outcome(wiener_loop, sym, 1.0, 1)[1]
+
+
+@pytest.mark.parametrize("radial", [True, False])
+def test_wiener_runs_one_series_per_shell_of_a_radial_table(monkeypatch, radial):
+    ctx = TruncationContext(3, 5)
+    table = perturbed_d1(ctx).table.copy()
+    if not radial:
+        table[1, ctx.N - 1] *= 1.0 + 1e-3
+    rows = []
+
+    def counting_dft_axis(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return dft_axis(a, *args, **kwargs)
+
+    monkeypatch.setattr(matrix_algebra, "dft_axis", counting_dft_axis)
+    rep = wiener_experiment(Symbol(ctx, table), 1.0, 1)
+    assert [c.u for c in rep.columns] == list(range(1, ctx.N))
+    # one row per shell 1..n, or full blocks of the N - 1 columns above xi = 0
+    assert max(rows) == (ctx.n if radial else matrix_algebra.SERIES_BLOCK_BYTES // (16 * ctx.N))
 
 
 def raised(fn, *args):

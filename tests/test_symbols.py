@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from padic_calc import symbols
 from padic_calc.core import Frequency, ResourceCapError, TruncationContext, valuation
 from padic_calc.fourier import LevelFunction, dft_axis
 from padic_calc.symbols import (
+    _FAMILY_RATIOS,
     Amplitude,
+    _sweep,
     _xi_difference_sups,
     Symbol,
     amplitude_to_operator,
@@ -64,6 +67,22 @@ def test_multiplier_values_read_off_row_equality():
     table[5, 2] += 1e-15
     assert Symbol(ctx, table).multiplier_values() is None
     assert random_symbol(ctx, rng()).multiplier_values() is None
+
+
+@pytest.mark.parametrize("p,n", [(2, 0), (2, 5), (3, 3), (7, 2)])
+def test_shell_profile_reads_exact_radiality(p, n):
+    ctx = TruncationContext(p, n)
+    gen = np.random.default_rng(p + n)
+    prof = gen.normal(size=(ctx.N, n + 1)) + 1j * gen.normal(size=(ctx.N, n + 1))
+    assert np.array_equal(Symbol.radial(ctx, prof).shell_profile(), prof)
+    lam = multiplier_table(VladimirovSpec(1.0, p), ctx)
+    want = np.tile(lam[ctx.shell_index], (ctx.N, 1))
+    assert np.array_equal(vladimirov_symbol(VladimirovSpec(1.0, p), ctx).shell_profile(), want)
+    if ctx.N > p:  # a shell with two columns, one nudged off the other by a rounding step
+        table = Symbol.radial(ctx, prof).table.copy()
+        table[0, ctx.N - 1] = np.nextafter(table[0, ctx.N - 1].real, np.inf) + 1j * table[0, ctx.N - 1].imag
+        assert Symbol(ctx, table).shell_profile() is None
+        assert random_symbol(ctx, gen).shell_profile() is None
 
 
 def test_radial_detection_rejects_generic_tables():
@@ -412,6 +431,11 @@ def test_s_family_of_a_multiplier_is_exactly_zero_at_positive_beta(p, n):
     assert np.all(rep.constants[:n, 0] > 0.0)  # alpha <= n - 1 has shells to difference
 
 
+def dense_seminorm(sym, family, *args):
+    """``seminorm`` through the family's dense generator, whatever the table's structure."""
+    return _sweep(family, *args, _FAMILY_RATIOS[family](sym, *args))
+
+
 #: (m, rho, delta, alpha_max, beta_max) for the shell-route comparisons
 SWEEP_ARGS = [
     (1.0, 0.0, 0.0, 3, 2),
@@ -436,10 +460,49 @@ def test_multiplier_seminorm_bit_identical_to_dense(p, n, family):
         sym = Symbol.radial(ctx, profile) if name == "random" else vladimirov_symbol(VladimirovSpec(name, p), ctx)
         for args in SWEEP_ARGS:
             fast = multiplier_seminorm(profile, ctx, family, *args)
-            dense = seminorm(sym, family, *args)
+            dense = dense_seminorm(sym, family, *args)
             assert np.array_equal(fast.constants, dense.constants), (name, args)
             assert np.array_equal(fast.growth_ratio, dense.growth_ratio), (name, args)
             assert fast.to_json() == dense.to_json()
+
+
+def x_dependent_radial_symbols(ctx, gen):
+    """Perturbed D^s for three orders and a random complex profile, all radial in xi."""
+    out = []
+    for s in (0.6, 1.0, 2.7):
+        lam = multiplier_table(VladimirovSpec(s, ctx.p), ctx)
+        out.append(Symbol(ctx, lam[None, :] + 0.1 * gen.normal(size=ctx.N)[:, None]))
+    shape = (ctx.N, ctx.n + 1)
+    out.append(Symbol.radial(ctx, gen.normal(size=shape) + 1j * gen.normal(size=shape)))
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(2, 0), (2, 5), (3, 3), (5, 2), (7, 1), (2, 8)])
+def test_s_tilde_of_x_dependent_radial_symbols_bit_identical_to_dense(monkeypatch, p, n):
+    ctx = TruncationContext(p, n)
+    gen = np.random.default_rng(100 * p + n)
+    syms = x_dependent_radial_symbols(ctx, gen)
+    for sym in syms[1::2] if n == 8 else syms:  # at (2, 8): D^1 and the random profile, to save the dense route's time
+        for args in SWEEP_ARGS:
+            dense = dense_seminorm(sym, "S_tilde", *args)
+            with monkeypatch.context() as patch:
+                patch.setattr(symbols, "_xi_difference_sups", None)  # the shell route builds no N x N sups
+                fast = seminorm(sym, "S_tilde", *args)
+            assert np.array_equal(fast.constants, dense.constants), args
+            assert np.array_equal(fast.growth_ratio, dense.growth_ratio), args
+            assert fast.to_json() == dense.to_json()
+
+
+def test_s_tilde_of_x_dependent_radial_symbols_matches_brute_force():
+    # an additive perturbation leaves only rounding in the xi-differences of D^beta sigma, so
+    # the comparison takes a random profile and a D^s scaled by a function of x
+    ctx = TruncationContext(3, 3)
+    gen = np.random.default_rng(5)
+    lam = multiplier_table(VladimirovSpec(1.2, ctx.p), ctx)
+    args = (1.5, 0.5, 0.5, 3, 2)
+    scaled = Symbol(ctx, np.outer(1.0 + 0.1 * gen.normal(size=ctx.N), lam))
+    for sym in (x_dependent_radial_symbols(ctx, gen)[-1], scaled):
+        _assert_matches_oracle(seminorm(sym, "S_tilde", *args), *_s_tilde_oracle(sym.table, ctx, *args))
 
 
 def test_multiplier_seminorm_matches_brute_force():
