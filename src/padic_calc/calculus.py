@@ -168,7 +168,7 @@ def parametrix(
     """
     ctx = sym.ctx
     ell = ellipticity_report(sym, order, n_max=threshold)
-    if ell is None or ell.threshold > threshold:
+    if ell is None:
         raise NotEllipticError(f"symbol is not elliptic of order {order} at threshold {threshold}")
     high = ctx.norms >= float(ctx.p) ** threshold
     tau_table = np.zeros_like(sym.table)

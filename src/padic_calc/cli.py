@@ -7,6 +7,12 @@ identical config + seed reproduces the numeric artifacts byte for byte.
 The manifest (and the timing sidecar of transform-bench) records wall
 time and is the one artifact excluded from that guarantee.
 
+``run`` checks ``p^n`` against ``CAPS`` before it creates the output
+directory, then calls the experiment's runner as ``runner(cfg, ctx, rng,
+out)``: the config, the ``TruncationContext(p, n)``, the seeded generator
+and the output directory.  A runner validates its own ``params``, writes
+its artifacts into ``out`` and returns their paths.
+
 Exit codes: 0 success, 2 config error, 3 resource cap, 4 numeric failure.
 """
 
@@ -73,12 +79,14 @@ class ExperimentConfig:
         for key in ("experiment", "p", "n"):
             if key not in doc:
                 raise ConfigError(f"missing required field '{key}'")
-        if doc["experiment"] not in EXPERIMENTS:
+        if not isinstance(doc["experiment"], str) or doc["experiment"] not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {doc['experiment']!r}; see 'padic-calc list'")
         if not isinstance(doc["p"], int) or not is_prime(doc["p"]):
             raise ConfigError(f"field 'p' must be a prime integer, got {doc['p']!r}")
         if isinstance(doc["n"], bool) or not isinstance(doc["n"], int) or doc["n"] < 0:
             raise ConfigError(f"field 'n' must be a non-negative integer, got {doc['n']!r}")
+        if not isinstance(doc.get("output_dir", ""), str):
+            raise ConfigError(f"field 'output_dir' must be a string, got {doc['output_dir']!r}")
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"field 'params' must be an object, got {params!r}")
@@ -95,7 +103,7 @@ class ExperimentConfig:
     def from_file(path) -> "ExperimentConfig":
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
             doc = json.loads(text)
@@ -141,14 +149,16 @@ def write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-#: Largest p^n each experiment accepts; a larger level exits 3 (resource cap).
-#: The D^s spectra are O(N) closed forms, and the two sweeps read O(n^2) shell
-#: pairs off them.  Each figure is one fresh process at p=2 and the cap level
-#: (n=20; n=11 for wiener) with its default params (import included) on a
-#: 2-vCPU Xeon.  wiener runs one series per shell but still builds its N x N
-#: table, which sets its cap.
+#: Largest p^n each experiment accepts; ``run`` checks it before it creates the
+#: output directory, and a larger level exits 3 (resource cap).  The D^s
+#: spectra are O(N) closed forms, and the two sweeps read O(n^2) shell pairs
+#: off them.  Each figure is one fresh process at p=2 and the cap level (n=20;
+#: n=11 for wiener; n=13 and trials 1 for transform-bench) with its default
+#: params (import included) on a 2-vCPU Xeon.  wiener runs one series per
+#: shell but still builds its N x N table, which sets its cap.  transform-bench
+#: builds N x N arrays for its naive oracle, about 3.7x the memory a level up.
 CAPS = {
-    "transform-bench": 4**7,
+    "transform-bench": 2**13,  # one trial: 2.0 s, 1,573 MB peak RSS
     "vladimirov-eigen": 2**20,  # 1.6 s, 184 MB peak RSS
     "seminorm-sweep": 2**20,  # 0.17 s, 60 MB peak RSS; S_check keeps its own N^4 cap
     "compose-check": 2**7,
@@ -163,14 +173,6 @@ CAPS = {
 
 #: largest accepted 'trials'; a count of 1e300 passes as an integer and never ends
 MAX_TRIALS = 1000
-
-
-def _require_size(cfg: ExperimentConfig) -> TruncationContext:
-    N = cfg.p**cfg.n
-    cap = CAPS[cfg.experiment]
-    if N > cap:
-        raise ResourceCapError(f"experiment '{cfg.experiment}' caps p^n at {cap}, got {N}")
-    return TruncationContext(cfg.p, cfg.n)
 
 
 def _number(key: str, val, integer: bool = False, low=None, high=None, positive: bool = False):
@@ -240,8 +242,7 @@ def _threshold(cfg: ExperimentConfig) -> int:
 # ----------------------------------------------------------------- experiments
 
 
-def _run_transform_bench(cfg, rng, out):
-    ctx = _require_size(cfg)
+def _run_transform_bench(cfg, ctx, rng, out):
     trials = _param(cfg.params, "trials", 20, integer=True, low=0, high=MAX_TRIALS)
     rows = [("trial", "max_fast_vs_naive", "roundtrip_error", "plancherel_gap")]
     t0 = time.perf_counter()
@@ -261,8 +262,7 @@ def _run_transform_bench(cfg, rng, out):
     return [out / "transform_bench.csv", out / "transform_bench_timing.json"]
 
 
-def _run_vladimirov_eigen(cfg, rng, out):
-    ctx = _require_size(cfg)
+def _run_vladimirov_eigen(cfg, ctx, rng, out):
     if ctx.n < 1:
         raise ConfigError("vladimirov-eigen needs level n >= 1 to have a nonzero shell")
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
@@ -282,9 +282,7 @@ def _run_vladimirov_eigen(cfg, rng, out):
         )
     ]
     shells = []
-    for m in range(0, ctx.n + 1):
-        u = 0 if m == 0 else cfg.p ** (ctx.n - m)
-        u_fine = 0 if m == 0 else cfg.p ** (fine.n - m)
+    for u, u_fine in zip(ctx.shell_index, fine.shell_index):  # shells 0..n of both levels
         li = tables["integral"][u]
         lp = tables["plus_constant"][u]
         ls = tables["scaled_constant"][u]
@@ -324,8 +322,7 @@ def _run_vladimirov_eigen(cfg, rng, out):
     return [out / "vladimirov_eigen.csv", out / "vladimirov_eigen.json"]
 
 
-def _run_seminorm_sweep(cfg, rng, out):
-    ctx = _require_size(cfg)
+def _run_seminorm_sweep(cfg, ctx, rng, out):
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     family = _choice(cfg.params, "family", "S_tilde", FAMILIES)
     m = _weight_order("m", s, cfg)
@@ -340,8 +337,7 @@ def _run_seminorm_sweep(cfg, rng, out):
     return [out / "seminorm.csv", out / "seminorm.json"]
 
 
-def _run_compose_check(cfg, rng, out):
-    ctx = _require_size(cfg)
+def _run_compose_check(cfg, ctx, rng, out):
     trials = _param(cfg.params, "trials", 50, integer=True, low=0, high=MAX_TRIALS)
     worst = 0.0
     for _ in range(trials):
@@ -355,8 +351,7 @@ def _run_compose_check(cfg, rng, out):
     return [out / "compose_check.json"]
 
 
-def _run_schur_sweep(cfg, rng, out):
-    ctx = _require_size(cfg)
+def _run_schur_sweep(cfg, ctx, rng, out):
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     m = _weight_order("m", s, cfg)
     r_max = _exponent("r_max", 4, cfg)
@@ -383,17 +378,24 @@ def _smooth_bump(ctx, rng, decay: float, scale: float) -> np.ndarray:
     return scale * vals / peak if peak > 0 else vals
 
 
-def _run_wiener(cfg, rng, out):
-    ctx = _require_size(cfg)
+def _perturbed_vladimirov(cfg, ctx, rng, decay: float):
+    """``(s, threshold, scale, sym)`` for ``sym = D^s + V(x)``; params are read, and ``rng`` drawn, in that order.
+
+    ``V`` is a seeded bump of peak ``scale``, ``perturbation`` times the least D^s eigenvalue above the
+    threshold; ``decay`` is the runner's default for ``perturbation_decay``.
+    """
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     threshold = _threshold(cfg)
     eps_rel = _param(cfg.params, "perturbation", 0.1)
-    decay = _param(cfg.params, "perturbation_decay", 6.0, low=0.0)
-    spec = VladimirovSpec(s, cfg.p)
-    lam = multiplier_table(spec, ctx)
+    decay = _param(cfg.params, "perturbation_decay", decay, low=0.0)
+    lam = multiplier_table(VladimirovSpec(s, cfg.p), ctx)
     margin = float(np.min(lam[ctx.norms >= float(ctx.p) ** max(threshold, 1)]))
     V = _smooth_bump(ctx, rng, decay=decay, scale=eps_rel * margin)
-    sym = Symbol(ctx, lam[None, :] + V[:, None])
+    return s, threshold, float(eps_rel * margin), Symbol(ctx, lam[None, :] + V[:, None])
+
+
+def _run_wiener(cfg, ctx, rng, out):
+    s, threshold, scale, sym = _perturbed_vladimirov(cfg, ctx, rng, decay=6.0)
     rep = wiener_experiment(sym, order=s, threshold=threshold)
     write_csv(out / "wiener.csv", rep.to_csv_rows())
     write_json(
@@ -401,7 +403,7 @@ def _run_wiener(cfg, rng, out):
         {
             "order": s,
             "threshold": threshold,
-            "perturbation_scale": float(eps_rel * margin),
+            "perturbation_scale": scale,
             "jr_constants": {str(r): v for r, v in rep.jr_constants.items()},
             "max_recon_error": max(c.recon_error for c in rep.columns),
             "max_ratio_excess": max(
@@ -412,17 +414,8 @@ def _run_wiener(cfg, rng, out):
     return [out / "wiener.csv", out / "wiener.json"]
 
 
-def _run_parametrix(cfg, rng, out):
-    ctx = _require_size(cfg)
-    s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
-    threshold = _threshold(cfg)
-    eps_rel = _param(cfg.params, "perturbation", 0.1)
-    decay = _param(cfg.params, "perturbation_decay", 8.0, low=0.0)
-    spec = VladimirovSpec(s, cfg.p)
-    lam = multiplier_table(spec, ctx)
-    margin = float(np.min(lam[ctx.norms >= float(ctx.p) ** max(threshold, 1)]))
-    V = _smooth_bump(ctx, rng, decay=decay, scale=eps_rel * margin)
-    sym = Symbol(ctx, lam[None, :] + V[:, None])
+def _run_parametrix(cfg, ctx, rng, out):
+    s, threshold, _, sym = _perturbed_vladimirov(cfg, ctx, rng, decay=8.0)
     rep = parametrix(sym, order=s, threshold=threshold)
     rows = [("side", "r", "cutoff", "tail_norm")]
     for side in ("left", "right"):
@@ -434,8 +427,7 @@ def _run_parametrix(cfg, rng, out):
     return [out / "parametrix_tails.csv", out / "parametrix.json"]
 
 
-def _run_sobolev_bound(cfg, rng, out):
-    ctx = _require_size(cfg)
+def _run_sobolev_bound(cfg, ctx, rng, out):
     s_values = _float_list(cfg.params, "s_values", [1.0], positive=True)
     s_values = [_order("s_values", s, cfg) for s in s_values]
     t_values = _float_list(cfg.params, "t_values", [-1.0, 0.0, 2.0])
@@ -458,8 +450,7 @@ def _run_sobolev_bound(cfg, rng, out):
     return [out / "sobolev_bound.csv"]
 
 
-def _run_weyl_count(cfg, rng, out):
-    ctx = _require_size(cfg)
+def _run_weyl_count(cfg, ctx, rng, out):
     s_values = _float_list(cfg.params, "s_values", [0.5, 1.0, 2.0], positive=True)
     s_values = [_order("s_values", s, cfg) for s in s_values]
     formula = _choice(cfg.params, "formula", "integral", FORMULA_TAGS)
@@ -483,8 +474,7 @@ def _run_weyl_count(cfg, rng, out):
     return artifacts
 
 
-def _run_heat(cfg, rng, out):
-    ctx = _require_size(cfg)
+def _run_heat(cfg, ctx, rng, out):
     orders_s = _float_list(cfg.params, "orders_s", [1.0, 0.5], positive=True)
     orders_s = [_order("orders_s", s, cfg) for s in orders_s]
     times = _float_list(cfg.params, "times", [0.0, 0.1, 1.0], low=0.0)
@@ -538,11 +528,17 @@ EXPERIMENTS = {
 
 def run(cfg: ExperimentConfig) -> Path:
     """Execute one experiment; returns the manifest path."""
+    N, cap = cfg.p**cfg.n, CAPS[cfg.experiment]
+    if N > cap:
+        raise ResourceCapError(f"experiment '{cfg.experiment}' caps p^n at {cap}, got {N}")
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {out}: {exc}") from exc
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
-    artifacts = EXPERIMENTS[cfg.experiment](cfg, rng, out)
+    artifacts = EXPERIMENTS[cfg.experiment](cfg, TruncationContext(cfg.p, cfg.n), rng, out)
     wall = time.perf_counter() - t0
     manifest = {
         "experiment": cfg.experiment,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,7 @@ def is_prime(p: int) -> bool:
     return True
 
 
+@dataclass(frozen=True)
 class TruncationContext:
     """Prime ``p`` and level ``n`` fixing the ``p^n``-point model of Z_p.
 
@@ -53,75 +55,50 @@ class TruncationContext:
     iff they share ``(p, n)``.
     """
 
-    __slots__ = ("p", "n", "N", "_roots", "_valuations", "_norms", "_weights", "_shells")
+    p: int
+    n: int
 
-    def __init__(self, p: int, n: int):
-        if not isinstance(p, (int, np.integer)) or not is_prime(int(p)):
-            raise ValueError(f"p must be prime, got {p!r}")
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError(f"level n must be a non-negative integer, got {n!r}")
-        object.__setattr__(self, "p", int(p))
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "N", int(p) ** int(n))
-        object.__setattr__(self, "_roots", None)
-        object.__setattr__(self, "_valuations", None)
-        object.__setattr__(self, "_norms", None)
-        object.__setattr__(self, "_weights", None)
-        object.__setattr__(self, "_shells", None)
+    def __post_init__(self):
+        if not isinstance(self.p, (int, np.integer)) or not is_prime(int(self.p)):
+            raise ValueError(f"p must be prime, got {self.p!r}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
+            raise ValueError(f"level n must be a non-negative integer, got {self.n!r}")
+        object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "n", int(self.n))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncationContext is immutable")
+    @cached_property
+    def N(self) -> int:
+        return self.p**self.n
 
-    def __eq__(self, other):
-        return isinstance(other, TruncationContext) and (self.p, self.n) == (other.p, other.n)
-
-    def __hash__(self):
-        return hash((self.p, self.n))
-
-    def __repr__(self):
-        return f"TruncationContext(p={self.p}, n={self.n})"
-
-    @property
+    @cached_property
     def roots(self) -> np.ndarray:
         """Table of all N-th roots of unity, ``roots[r] = exp(2 pi i r / N)``."""
-        if self._roots is None:
-            table = np.exp((2j * np.pi / self.N) * np.arange(self.N))
-            object.__setattr__(self, "_roots", table)
-        return self._roots
+        return np.exp((2j * np.pi / self.N) * np.arange(self.N))
 
-    @property
+    @cached_property
     def valuations(self) -> np.ndarray:
         """``v_p(u)`` for every residue ``u``; the 0 entry holds ``n`` (capped)."""
-        if self._valuations is None:
-            v = np.zeros(self.N, dtype=np.int64)
-            for k in range(1, self.n + 1):
-                v[:: self.p**k] += 1  # the multiples of p^k; residue 0 collects n
-            object.__setattr__(self, "_valuations", v)
-        return self._valuations
+        v = np.zeros(self.N, dtype=np.int64)
+        for k in range(1, self.n + 1):
+            v[:: self.p**k] += 1  # the multiples of p^k; residue 0 collects n
+        return v
 
-    @property
+    @cached_property
     def norms(self) -> np.ndarray:
         """p-adic norm of the dual element with index ``u`` (0.0 at ``u = 0``)."""
-        if self._norms is None:
-            nr = np.power(float(self.p), self.n - self.valuations.astype(np.float64))
-            if self.N > 0:
-                nr[0] = 0.0
-            object.__setattr__(self, "_norms", nr)
-        return self._norms
+        nr = np.power(float(self.p), self.n - self.valuations.astype(np.float64))
+        nr[0] = 0.0
+        return nr
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
         """``max(1, |xi|_p)`` for every dual index."""
-        if self._weights is None:
-            object.__setattr__(self, "_weights", np.maximum(1.0, self.norms))
-        return self._weights
+        return np.maximum(1.0, self.norms)
 
-    @property
+    @cached_property
     def shells(self) -> np.ndarray:
         """Shell index per dual element: 0 for xi = 0, j for norm p^j."""
-        if self._shells is None:
-            object.__setattr__(self, "_shells", self.n - self.valuations)  # valuations[0] = n
-        return self._shells
+        return self.n - self.valuations  # valuations[0] = n
 
     @property
     def shell_index(self) -> np.ndarray:

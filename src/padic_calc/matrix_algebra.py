@@ -239,7 +239,7 @@ def wiener_experiment(
     """
     ctx = sym.ctx
     ell = ellipticity_report(sym, order, n_max=threshold)
-    if ell is None or ell.threshold > threshold:
+    if ell is None:
         raise EllipticityMarginError(f"symbol not elliptic of order {order} at threshold {threshold}")
     high = np.flatnonzero(ctx.norms >= float(ctx.p) ** threshold)
     # on a radial table, the first column of each shell (its lowest u) runs for all of the shell

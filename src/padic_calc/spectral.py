@@ -144,7 +144,7 @@ def norm_equivalence_check(
 ) -> NormEquivalenceReport:
     """Estimate the two-sided Sobolev sandwich over random functions."""
     ell = ellipticity_report(sym, order_lower, n_max=threshold)
-    if ell is None or ell.threshold > threshold:
+    if ell is None:
         raise NotEllipticError(
             f"symbol is not hypoelliptic of order {order_lower} at threshold {threshold}"
         )

@@ -18,6 +18,7 @@ from padic_calc.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    CAPS,
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
@@ -56,6 +57,10 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"experiment": "heat", "p": 2, "n": 3, "bogus": 1})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "heat", "p": 2, "n": 3, "seed": "zero"})
+    # unhashable or non-string experiments and non-string output directories
+    for field_ in ({"experiment": ["weyl-count"]}, {"experiment": {"a": 1}}, {"output_dir": 5}, {"output_dir": None}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"experiment": "heat", "p": 2, "n": 3, **field_})
     # JSON true is a Python int subclass, not a level or a seed
     for field_ in ({"n": True}, {"n": 3, "seed": True}):
         with pytest.raises(ConfigError):
@@ -77,6 +82,18 @@ def test_exit_codes(tmp_path, capsys):
     malformed = tmp_path / "bad.json"
     malformed.write_text("{not json", encoding="utf-8")
     assert main(["run", "--config", str(malformed)]) == EXIT_CONFIG
+    capsys.readouterr()
+
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    doc = {"experiment": "weyl-count", "p": 2, "n": 5}
+    bad_fields = ({"experiment": ["weyl-count"]}, {"experiment": {"a": 1}}, {"output_dir": 5}, {"output_dir": None})
+    bad_fields += ({"output_dir": str(not_utf8 / "x")},)  # a directory below a file cannot be created
+    configs = [not_utf8] + [write_config(tmp_path, {**doc, **f}, f"field{i}.json") for i, f in enumerate(bad_fields)]
+    for path in configs:
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error:") and "\n" not in err
 
     cap = write_config(
         tmp_path, {"experiment": "compose-check", "p": 2, "n": 12, "output_dir": str(tmp_path / "a")}, "cap.json"
@@ -265,7 +282,8 @@ ODD_VALUES = (0, -1, 1, 2, 0.5, 1e-300, 1e300, -1e300, math.nan, math.inf, -math
 ODD_VALUES += ([], [0.5], [1e300], [-1], [math.nan], ["x"], None, True, False)
 CONFIG_DOCS = st.fixed_dictionaries(
     {
-        "experiment": st.sampled_from(sorted(EXPERIMENTS) + ["no-such-experiment"]),
+        "experiment": st.sampled_from(sorted(EXPERIMENTS) + ["no-such-experiment", ["weyl-count"], {"a": 1}, 5, None]),
+        "output_dir": st.sampled_from(["out", 5, None, ["out"], {"a": 1}]),
         "p": st.sampled_from([2, 3, 5, 7]),
         "n": st.integers(0, 3),
         "seed": st.integers(-2, 5),
@@ -278,7 +296,8 @@ CONFIG_DOCS = st.fixed_dictionaries(
 @given(doc=CONFIG_DOCS)
 def test_config_fuzz_exits_with_a_contract_code(doc):
     with tempfile.TemporaryDirectory() as tmp:
-        doc = {**doc, "output_dir": str(Path(tmp) / "out")}
+        if isinstance(doc["output_dir"], str):
+            doc = {**doc, "output_dir": str(Path(tmp) / doc["output_dir"])}
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["run", "--config", str(path)]) in (EXIT_OK, EXIT_CONFIG, EXIT_CAP, EXIT_NUMERIC)
@@ -405,12 +424,14 @@ def test_vladimirov_eigen_is_level_independent_at_large_order(tmp_path, capsys):
     assert summary["matched_convention"] == "neither"
 
 
-@pytest.mark.parametrize("experiment", ["vladimirov-eigen", "weyl-count", "schur-sweep", "seminorm-sweep"])
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_raised_caps(tmp_path, capsys, experiment):
-    cfg = write_config(tmp_path, {"experiment": experiment, "p": 2, "n": 21, "output_dir": str(tmp_path / "out")})
+    n = CAPS[experiment].bit_length()  # the first p = 2 level above the cap
+    cfg = write_config(tmp_path, {"experiment": experiment, "p": 2, "n": n, "output_dir": str(tmp_path / "out")})
     assert main(["run", "--config", str(cfg)]) == EXIT_CAP
     err = capsys.readouterr().err.strip()
-    assert err.startswith("resource cap:") and str(2**20) in err and "\n" not in err
+    assert err.startswith("resource cap:") and str(CAPS[experiment]) in err and "\n" not in err
+    assert not (tmp_path / "out").exists()  # the cap is checked before the output directory is made
 
 
 @pytest.mark.parametrize("n,code", [(10, EXIT_OK), (12, EXIT_CAP)])
