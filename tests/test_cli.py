@@ -574,3 +574,73 @@ def test_smooth_bump_bit_identical_to_loop(p, n, decay):
     fast = _smooth_bump(ctx, rng_fast, decay, 0.3)
     assert np.array_equal(fast, smooth_bump_loop(ctx, rng_loop, decay, 0.3))
     assert rng_fast.normal() == rng_loop.normal()  # both consumed the same stream
+
+
+#: sha256 of closed-form artifacts, recorded at p in {2, 3}, small n and integer s, where every float is
+#: exact or a handful of IEEE operations; ``weyl_fits.json`` (a least-squares fit) is left out
+PINNED_DIGESTS = [
+    ("vladimirov-eigen", 2, 4, {"s": 2.0}, {
+        "vladimirov_eigen.csv": "0679ed63ad995ea571872ab0fc1956ffe46248c6b35253341cf46588816d7b12",
+        "vladimirov_eigen.json": "a462601a5ab61facd6d915a0c2592e1c45dbfc24247c4ca6f0eb7f41dabe50fc",
+    }),
+    ("vladimirov-eigen", 3, 3, {"s": 1.0}, {
+        "vladimirov_eigen.csv": "06baefdbc6d2adb98b32acfbf507d2aab5ef44203fb0bbb71df980f3a1d2b397",
+        "vladimirov_eigen.json": "c8c948586cdc88f1555ef6a8ca9c05a25ec8e5edd41f39b2e2561a793f140848",
+    }),
+    ("schur-sweep", 2, 5, {"s": 1.0}, {
+        "schur_sweep.csv": "7c9d9806c5748c4ed56552facfcac42fcea43e322a291cf08cd9b64af3550259",
+        "equivalence.json": "e605a3d32cb3d3cfa43840e0f934024413d1abc7ba184f554feb1cf86fa25352",
+    }),
+    ("schur-sweep", 3, 3, {"s": 2.0}, {
+        "schur_sweep.csv": "2a8d1655d9195795ac894782d839dc39d33f448a0e2989468cacf180b937374a",
+        "equivalence.json": "1493fe0f53484818e765341fc37dee2bb90715e305048f343bc3ba412206a6ef",
+    }),
+    ("seminorm-sweep", 2, 4, {"s": 1.0, "family": "S"}, {
+        "seminorm.csv": "264bb2e82d45f45efdc2d39b2c9cb96af1ff3ee4a0bb2ca5d74fea1a96980775",
+        "seminorm.json": "d8a2dc40717a760964e8ff4c836ddc77340af15b8d7c113bf29f1aef1ea2eb4a",
+    }),
+    ("seminorm-sweep", 3, 3, {"s": 2.0, "family": "S_tilde"}, {
+        "seminorm.csv": "8d6b2445e4c54e209fbb7e8286cfc2d10386f260a197fef772d7fe1f4e0852b3",
+        "seminorm.json": "614593f7832c1f874fa35f6813e7c80a4efb12bf48d42f30ab6ae0be0eea3103",
+    }),
+    ("seminorm-sweep", 2, 4, {"s": 1.0, "family": "S_check"}, {
+        "seminorm.csv": "43bce4b36713e01401c2803557690558f729637463f7a88d49c2e203cb9c792b",
+        "seminorm.json": "aad1eaac3d41c069f2b738a61fdb88cd94b8d3fa03b7ab5c819f3426eb3b84d3",
+    }),
+    ("sobolev-bound", 2, 4, {}, {
+        "sobolev_bound.csv": "7950d6993929d9611b0a0f26507279585d71c83b75348ec7332ffe0e5095ca05",
+    }),
+    ("sobolev-bound", 3, 3, {"s_values": [1.0, 2.0]}, {
+        "sobolev_bound.csv": "35325fe8926ce4d03e35fb2c6f106f8867d89777c04a9b40f6950c561fd59165",
+    }),
+    ("weyl-count", 2, 6, {"s_values": [1.0, 2.0]}, {
+        "weyl_counts_s1.csv": "09bbe414206429984e77b5f651b3c44c866a0c17c5972cd656f11db932c81a14",
+        "weyl_counts_s2.csv": "b05ce97322ccdf4fe25ae14313fd7f5d4d8db2411a3ba08cf9756cf48eba79ee",
+    }),
+    ("weyl-count", 3, 5, {"s_values": [1.0]}, {
+        "weyl_counts_s1.csv": "edcd05622fb6cecefa07ad5450b80befffbb63f367a051f66cdc6facd84916ca",
+    }),
+]
+
+
+@pytest.mark.parametrize("experiment,p,n,params,digests", PINNED_DIGESTS)
+def test_closed_form_artifacts_match_pinned_digests(tmp_path, capsys, experiment, p, n, params, digests):
+    doc = {"experiment": experiment, "p": p, "n": n, "seed": 7, "output_dir": str(tmp_path / "out"), "params": params}
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == EXIT_OK
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    got = {a["name"]: a["sha256"] for a in manifest["artifacts"] if a["name"] in digests}
+    assert got == digests
+
+
+def test_perturbed_runners_match_pinned_values(tmp_path, capsys):
+    # these pass through the FFT, so they are pinned at a tolerance, not by digest
+    for experiment in ("wiener", "parametrix"):
+        doc = {"experiment": experiment, "p": 2, "n": 5, "seed": 7, "output_dir": str(tmp_path / experiment)}
+        assert main(["run", "--config", str(write_config(tmp_path, doc, f"{experiment}.json"))]) == EXIT_OK
+    capsys.readouterr()
+    wiener = json.loads((tmp_path / "wiener" / "wiener.json").read_text())
+    assert wiener["jr_constants"]["0"] == pytest.approx(1.6668864826350935, rel=1e-9)
+    para = json.loads((tmp_path / "parametrix" / "parametrix.json").read_text())
+    assert para["cut_block_norms"]["left"] == pytest.approx(1.010057855758118, rel=1e-9)
+    assert para["tail_norms"]["left"][0][0] == pytest.approx(0.010244804668541382, rel=1e-9)
