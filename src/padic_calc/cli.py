@@ -42,12 +42,16 @@ from .spectral import (
     weyl_slope_fit,
 )
 from .symbols import FAMILIES, Symbol, multiplier_seminorm
-from .vladimirov import FORMULA_TAGS, VladimirovSpec, multiplier_table
+from .vladimirov import FORMULA_TAGS, VladimirovSpec, multiplier_table, shell_eigenvalues
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_NUMERIC = 4
+
+
+#: bound on the prime: p is a uint32 in the binary operator format
+MAX_P = 2**32
 
 
 class ConfigError(ValueError):
@@ -81,8 +85,9 @@ class ExperimentConfig:
                 raise ConfigError(f"missing required field '{key}'")
         if not isinstance(doc["experiment"], str) or doc["experiment"] not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {doc['experiment']!r}; see 'padic-calc list'")
-        if not isinstance(doc["p"], int) or not is_prime(doc["p"]):
-            raise ConfigError(f"field 'p' must be a prime integer, got {doc['p']!r}")
+        # bounded before the trial division, which would not end on a p near 10^18
+        if not isinstance(doc["p"], int) or doc["p"] >= MAX_P or not is_prime(doc["p"]):
+            raise ConfigError(f"field 'p' must be a prime integer below 2^32, got {doc['p']!r}")
         if isinstance(doc["n"], bool) or not isinstance(doc["n"], int) or doc["n"] < 0:
             raise ConfigError(f"field 'n' must be a non-negative integer, got {doc['n']!r}")
         if not isinstance(doc.get("output_dir", ""), str):
@@ -151,22 +156,24 @@ def write_json(path: Path, obj) -> None:
 
 #: Largest p^n each experiment accepts; ``run`` checks it before it creates the
 #: output directory, and a larger level exits 3 (resource cap).  The D^s
-#: spectra are O(N) closed forms, and the two sweeps read O(n^2) shell pairs
-#: off them.  Each figure is one fresh process at p=2 and the cap level (n=20;
-#: n=11 for wiener; n=13 and trials 1 for transform-bench) with its default
-#: params (import included) on a 2-vCPU Xeon.  wiener runs one series per
-#: shell but still builds its N x N table, which sets its cap.  transform-bench
-#: builds N x N arrays for its naive oracle, about 3.7x the memory a level up.
+#: spectra are closed forms on the n+1 shells: vladimirov-eigen and the two
+#: sweeps never leave them (their 36 MB peak RSS is the import alone), while
+#: sobolev-bound and weyl-count gather them to O(N) vectors.  Each figure is
+#: one fresh process at p=2 and the cap level (n=20; n=11 for wiener; n=13 and
+#: trials 1 for transform-bench) with its default params (import included) on
+#: a 2-vCPU Xeon.  wiener runs one series per shell but still builds its N x N
+#: table, which sets its cap.  transform-bench builds N x N arrays for its
+#: naive oracle, about 3.7x the memory a level up.
 CAPS = {
     "transform-bench": 2**13,  # one trial: 2.0 s, 1,573 MB peak RSS
-    "vladimirov-eigen": 2**20,  # 1.6 s, 184 MB peak RSS
-    "seminorm-sweep": 2**20,  # 0.17 s, 60 MB peak RSS; S_check keeps its own N^4 cap
+    "vladimirov-eigen": 2**20,  # 0.30 s, 36 MB peak RSS
+    "seminorm-sweep": 2**20,  # 0.27-0.32 s, 36 MB peak RSS, S_check included
     "compose-check": 2**7,
-    "schur-sweep": 2**20,  # 0.17 s, 60 MB peak RSS
-    "wiener": 2**11,  # 0.44-0.53 s, 169 MB peak RSS; n=12 took 1.4 s, 565 MB
+    "schur-sweep": 2**20,  # 0.29-0.33 s, 36 MB peak RSS
+    "wiener": 2**11,  # 0.55-0.57 s, 169 MB peak RSS; n=12 took 1.4 s, 565 MB
     "parametrix": 2**8,
-    "sobolev-bound": 2**20,  # 1.9 s, 216 MB peak RSS with s_values [0.5, 1, 2]
-    "weyl-count": 2**20,  # 1.5 s, 123 MB peak RSS
+    "sobolev-bound": 2**20,  # 0.72 s, 148 MB peak RSS with s_values [0.5, 1, 2]
+    "weyl-count": 2**20,  # 1.30-1.43 s, 121 MB peak RSS
     "heat": 2**10,
 }
 
@@ -267,43 +274,20 @@ def _run_vladimirov_eigen(cfg, ctx, rng, out):
         raise ConfigError("vladimirov-eigen needs level n >= 1 to have a nonzero shell")
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     spec = VladimirovSpec(s, cfg.p)
-    tables = {tag: multiplier_table(spec, ctx, tag) for tag in FORMULA_TAGS}
-    fine = TruncationContext(cfg.p, cfg.n + 1)
-    lam_fine = multiplier_table(spec, fine)
-    rows = [
-        (
-            "norm",
-            "lambda_integral",
-            "lambda_plus_constant",
-            "lambda_scaled_constant",
-            "abs_diff_plus",
-            "abs_diff_scaled",
-            "level_shift_abs",
-        )
-    ]
-    shells = []
-    for u, u_fine in zip(ctx.shell_index, fine.shell_index):  # shells 0..n of both levels
-        li = tables["integral"][u]
-        lp = tables["plus_constant"][u]
-        ls = tables["scaled_constant"][u]
-        rows.append(
-            (
-                float(ctx.norms[u]),
-                li,
-                lp,
-                ls,
-                abs(li - lp),
-                abs(li - ls),
-                abs(li - lam_fine[u_fine]),
-            )
-        )
-        shells.append((float(ctx.norms[u]), li))
-    # which affine convention does the exactly-diagonalized integral match?
-    diffs = {
-        tag: float(np.max(np.abs(tables[tag] - tables["integral"]))) for tag in ("plus_constant", "scaled_constant")
-    }
+    lam = {tag: shell_eigenvalues(spec, ctx, tag) for tag in FORMULA_TAGS}
+    li = lam["integral"]
+    diff = {tag: np.abs(li - lam[tag]) for tag in ("plus_constant", "scaled_constant")}
+    # shells 0..n of the next level
+    shift = np.abs(li - shell_eigenvalues(spec, TruncationContext(cfg.p, cfg.n + 1))[:-1])
+    header = ("norm", "lambda_integral", "lambda_plus_constant", "lambda_scaled_constant")
+    rows = [header + ("abs_diff_plus", "abs_diff_scaled", "level_shift_abs")]
+    norms = ctx.shell_norms.tolist()
+    rows += zip(norms, li, lam["plus_constant"], lam["scaled_constant"], *diff.values(), shift)
+    # which affine convention does the exactly-diagonalized integral match?  Every shell
+    # is non-empty, so these maxima over shells are the maxima over all N dual indices.
+    diffs = {tag: float(np.max(d)) for tag, d in diff.items()}
     matches = [tag for tag, d in diffs.items() if d < 1e-9]
-    offsets = [lam - nrm**s for nrm, lam in shells if nrm > 0]
+    offsets = [val - nrm**s for nrm, val in zip(norms[1:], li.tolist()[1:])]
     write_csv(out / "vladimirov_eigen.csv", rows)
     write_json(
         out / "vladimirov_eigen.json",
@@ -316,7 +300,7 @@ def _run_vladimirov_eigen(cfg, ctx, rng, out):
                 "spread": float(np.ptp(offsets)),
                 "negated_additive_constant": -spec.additive_constant,
             },
-            "max_level_shift": float(max(r[6] for r in rows[1:])),
+            "max_level_shift": float(np.max(shift)),
         },
     )
     return [out / "vladimirov_eigen.csv", out / "vladimirov_eigen.json"]
@@ -330,7 +314,7 @@ def _run_seminorm_sweep(cfg, ctx, rng, out):
     delta = _param(cfg.params, "delta", 0.0, low=0.0, high=1.0)
     alpha_max = _exponent("alpha_max", 3, cfg)
     beta_max = _exponent("beta_max", 2, cfg)
-    profile = multiplier_table(VladimirovSpec(s, cfg.p), ctx)[ctx.shell_index]
+    profile = shell_eigenvalues(VladimirovSpec(s, cfg.p), ctx)
     rep = multiplier_seminorm(profile, ctx, family, m=m, rho=rho, delta=delta, alpha_max=alpha_max, beta_max=beta_max)
     write_csv(out / "seminorm.csv", rep.to_csv_rows())
     (out / "seminorm.json").write_text(rep.to_json() + "\n", encoding="utf-8")
@@ -355,7 +339,7 @@ def _run_schur_sweep(cfg, ctx, rng, out):
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     m = _weight_order("m", s, cfg)
     r_max = _exponent("r_max", 4, cfg)
-    profile = multiplier_table(VladimirovSpec(s, cfg.p), ctx)[ctx.shell_index]
+    profile = shell_eigenvalues(VladimirovSpec(s, cfg.p), ctx)
     rep = multiplier_equivalence(profile, ctx, m=m, r_max=r_max)
     rows = [("r", "m", "row_sup", "col_sup", "norm", "growth_ratio")]
     for sr in rep.schur:
@@ -388,10 +372,10 @@ def _perturbed_vladimirov(cfg, ctx, rng, decay: float):
     threshold = _threshold(cfg)
     eps_rel = _param(cfg.params, "perturbation", 0.1)
     decay = _param(cfg.params, "perturbation_decay", decay, low=0.0)
-    lam = multiplier_table(VladimirovSpec(s, cfg.p), ctx)
-    margin = float(np.min(lam[ctx.norms >= float(ctx.p) ** max(threshold, 1)]))
+    lam = shell_eigenvalues(VladimirovSpec(s, cfg.p), ctx)
+    margin = float(np.min(lam[max(threshold, 1) :]))
     V = _smooth_bump(ctx, rng, decay=decay, scale=eps_rel * margin)
-    return s, threshold, float(eps_rel * margin), Symbol(ctx, lam[None, :] + V[:, None])
+    return s, threshold, float(eps_rel * margin), Symbol(ctx, lam[ctx.shells][None, :] + V[:, None])
 
 
 def _run_wiener(cfg, ctx, rng, out):

@@ -4,7 +4,11 @@ A :class:`TruncationContext` fixes a prime ``p`` and a level ``n``; the
 group of p-adic integers is then modelled by the ``N = p^n`` cosets of
 ``p^n Z_p`` and its dual by the ``N`` fractions ``u / p^n mod 1``.  All
 norms and valuations are computed with integer arithmetic first and
-converted to floats only at the very end.  Character values are looked
+converted to floats only at the very end.  The norm and the weight
+``max(1, |xi|_p)`` are constant on each of the n+1 valuation shells, so
+each is computed once per shell (``shell_norms``, ``shell_weights``, O(n))
+and the N-entry ``norms`` and ``weights`` are gathers of those by
+``shells``.  Character values are looked
 up in a single precomputed root-of-unity table after reducing the phase
 ``u x`` as an integer mod ``p^n``, so the characters, the character
 tables, the naive transform oracle and the shifted-diagonal gathers
@@ -84,16 +88,26 @@ class TruncationContext:
         return v
 
     @cached_property
-    def norms(self) -> np.ndarray:
-        """p-adic norm of the dual element with index ``u`` (0.0 at ``u = 0``)."""
-        nr = np.power(float(self.p), self.n - self.valuations.astype(np.float64))
+    def shell_norms(self) -> np.ndarray:
+        """p-adic norm on shells 0..n: 0.0 for xi = 0, then p, ..., p^n; O(n)."""
+        nr = np.power(float(self.p), np.arange(self.n + 1, dtype=np.float64))
         nr[0] = 0.0
         return nr
 
     @cached_property
+    def shell_weights(self) -> np.ndarray:
+        """``max(1, |xi|_p)`` on shells 0..n; O(n)."""
+        return np.maximum(1.0, self.shell_norms)
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """p-adic norm of the dual element with index ``u`` (0.0 at ``u = 0``)."""
+        return self.shell_norms[self.shells]
+
+    @cached_property
     def weights(self) -> np.ndarray:
         """``max(1, |xi|_p)`` for every dual index."""
-        return np.maximum(1.0, self.norms)
+        return self.shell_weights[self.shells]
 
     @cached_property
     def shells(self) -> np.ndarray:

@@ -35,7 +35,7 @@ from .calculus import adjoint_symbol, ellipticity_report
 from .core import TruncationContext
 from .fourier import dft_axis
 from .operator_matrix import OperatorMatrix, schur_sums
-from .symbols import Symbol, SeminormReport, _ratio, _sub_dual_mask, _sub_shells, multiplier_seminorm, seminorm
+from .symbols import Symbol, SeminormReport, _ratio, _sub_shells, multiplier_seminorm, seminorm
 
 #: relative level below which transform spectra count as rounding dust
 QUENCH_FLOOR = 1e-13
@@ -89,7 +89,7 @@ def schur_norm(M, r: float, m: float = 0.0, ctx: TruncationContext | None = None
         raise ValueError(f"weight exponent r must be >= 0, got {r}")
     row_sup, col_sup = schur_sums(entries, ctx, r, m)
     norm = max(row_sup, col_sup)
-    sub = np.flatnonzero(_sub_dual_mask(ctx))
+    sub = np.flatnonzero(_sub_shells(ctx)[ctx.shells])
     sub_row, sub_col = schur_sums(entries, ctx, r, m, row_idx=sub, col_idx=sub)
     ratio = _ratio(norm, max(sub_row, sub_col))
     return SchurReport(r=r, m=m, row_sup=row_sup, col_sup=col_sup, norm=norm, growth_ratio=ratio)
@@ -178,7 +178,7 @@ def multiplier_equivalence(
     ``multiplier_seminorm``; no transform runs and no N x N array is built.
     """
     sem = multiplier_seminorm(profile, ctx, "S_tilde", m=m, rho=0.0, delta=0.0, alpha_max=alpha_max, beta_max=beta_max)
-    sums = np.abs(np.asarray(profile, dtype=np.complex128)) * np.power(ctx.weights[ctx.shell_index], -m)
+    sums = np.abs(np.asarray(profile, dtype=np.complex128)) * np.power(ctx.shell_weights, -m)
     norm = float(np.max(sums))
     ratio = _ratio(norm, float(np.max(sums[_sub_shells(ctx)])))
     reports = [SchurReport(float(r), m, norm, norm, norm, ratio) for r in range(r_max + 1)]

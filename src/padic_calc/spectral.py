@@ -117,7 +117,7 @@ def op_norm_sobolev_multiplier(lam: np.ndarray, ctx: TruncationContext, t: float
         raise ValueError(f"multiplier needs {ctx.N} eigenvalues, got shape {lam.shape}")
     # <xi> takes one value per shell, so the powers are taken on the n+1 shell
     # weights and gathered back by shell
-    w = ctx.weights[ctx.shell_index]
+    w = ctx.shell_weights
     return float(np.max(np.power(w, t)[ctx.shells] * np.abs(lam) * np.power(w, -(t + m))[ctx.shells]))
 
 

@@ -237,13 +237,6 @@ def partial_x_h(sym: Symbol, h: int) -> Symbol:
     return Symbol(ctx, dft_axis(factor * sighat, ctx, +1, axis=0))
 
 
-def _sub_dual_mask(ctx: TruncationContext) -> np.ndarray:
-    """True on the level-(n-1) dual embedded in level n (norm <= p^(n-1))."""
-    mask = np.zeros(ctx.N, dtype=bool)
-    mask[::ctx.p] = True
-    return mask
-
-
 def _sub_shells(ctx: TruncationContext) -> np.ndarray:
     """The sub-dual by shell: j <= n-1, and shell 0 (xi = 0) at every level."""
     return np.arange(ctx.n + 1) <= max(ctx.n - 1, 0)
@@ -302,7 +295,7 @@ def _s_ratios(sym: Symbol, m, rho, delta, alpha_max, beta_max):
 def _s_tilde_ratios(sym: Symbol, m, rho, delta, alpha_max, beta_max):
     """Family S_tilde: group differences by eta in xi of D^beta sigma, over |eta| <= <xi>."""
     ctx = sym.ctx
-    sub = _sub_dual_mask(ctx)
+    sub = _sub_shells(ctx)[ctx.shells]
     allowed = ctx.norms[:, None] <= ctx.weights[None, :]
     allowed[0, :] = False  # eta = 0 excluded (difference vanishes anyway)
     sub_allowed = allowed & sub[:, None] & sub[None, :]
@@ -324,18 +317,12 @@ def _s_tilde_ratios(sym: Symbol, m, rho, delta, alpha_max, beta_max):
             yield alpha, beta, np.where(allowed, num / denom, 0.0), sub_allowed
 
 
-def _check_double_difference_cap(ctx: TruncationContext) -> None:
-    if ctx.N**4 > DOUBLE_DIFFERENCE_CAP:
-        raise ResourceCapError(
-            f"double-difference sweep needs {ctx.N}^4 = {ctx.N**4} cells, cap is {DOUBLE_DIFFERENCE_CAP}"
-        )
-
-
 def _s_check_ratios(sym: Symbol, m, rho, delta, alpha_max, beta_max):
     """Family S_check: double differences, by y in x and by eta in xi."""
     ctx = sym.ctx
     N = ctx.N
-    _check_double_difference_cap(ctx)
+    if N**4 > DOUBLE_DIFFERENCE_CAP:
+        raise ResourceCapError(f"double-difference sweep needs {N}^4 = {N**4} cells, cap is {DOUBLE_DIFFERENCE_CAP}")
     # num[y, eta, xi] = max_x of the eta-difference in xi of R_y, where R_0 is
     # sigma and R_y (y > 0) its difference by y in x; eta = 0 holds max_x |R_y|
     cols = np.arange(N)
@@ -345,7 +332,7 @@ def _s_check_ratios(sym: Symbol, m, rho, delta, alpha_max, beta_max):
         num[y] = _xi_difference_sups(R)
         num[y, 0] = np.max(np.abs(R), axis=0)
     point_norm = np.power(float(ctx.p), -ctx.valuations.astype(np.float64))  # |y|_p of residues
-    sub = _sub_dual_mask(ctx)
+    sub = _sub_shells(ctx)[ctx.shells]
     for alpha in range(alpha_max + 1):
         es = slice(1, None) if alpha else slice(0, 1)
         for beta in range(beta_max + 1):
@@ -380,9 +367,7 @@ def _shell_ratios(profile, ctx, family, m, rho, delta, alpha_max, beta_max):
     if family == "S":
         yield from _s_profile_ratios(profile, ctx, x_constant, m, rho, delta, alpha_max, beta_max)
         return
-    if family == "S_check":
-        _check_double_difference_cap(ctx)
-    w = ctx.weights[ctx.shell_index]
+    w = ctx.shell_weights
     sub = _sub_shells(ctx)
     a, b = np.tril_indices(ctx.n + 1, -1)  # all shell pairs a > b
     for beta in range(1 if x_constant else beta_max + 1):
@@ -465,8 +450,8 @@ def multiplier_seminorm(
     ``profile[j]`` is the value on shell j (j = 0 for xi = 0), as in
     ``Symbol.radial``.  The sweep runs on shell pairs in O(n^2) per
     (alpha, beta), builds no N x N table, and reports what ``seminorm``
-    reports for ``Symbol.radial(ctx, profile)``; S_check keeps its
-    ``DOUBLE_DIFFERENCE_CAP``.
+    reports for ``Symbol.radial(ctx, profile)``, S_check included, with no
+    ``DOUBLE_DIFFERENCE_CAP``: that bounds the dense N^4 sweep only.
     """
     _check_sweep_args(family, rho, delta, alpha_max, beta_max)
     profile = np.asarray(profile, dtype=np.complex128)

@@ -9,15 +9,17 @@ Two routes are implemented and cross-validated:
   characters are eigenfunctions with eigenvalue ``|xi|^s - c(p, s)``,
   ``c(p, s) = (1 - 1/p) / (1 - p^-(s+1))``, and eigenvalue 0 at xi = 0.
 
-* :func:`multiplier_table` gives that spectrum in closed form, in O(N)
-  and with no transform, and also the two affine eigenvalue conventions
-  in circulation for this operator (``|xi|^s + c`` and
-  ``|xi|^s + c * p^-s`` on nonzero frequencies).  The tags are
+* :func:`shell_eigenvalues` gives that spectrum in closed form on the
+  n+1 shells, in O(n) and with no transform, and also the two affine
+  eigenvalue conventions in circulation for this operator (``|xi|^s + c``
+  and ``|xi|^s + c * p^-s`` on nonzero frequencies).  The tags are
   ``integral``, ``plus_constant`` and ``scaled_constant``; ``integral``
   is the canonical one, and reports tabulate the disagreement.  The
   closed form is exact at every level because the truncated kernel sum
   is the continuum integral: y in x's own coset contributes nothing,
   and |x - y| is constant on every other coset.
+  :func:`multiplier_table` is the same spectrum gathered over all N dual
+  indices.
 """
 
 from __future__ import annotations
@@ -96,17 +98,22 @@ def apply_integral(spec: VladimirovSpec, f: LevelFunction) -> LevelFunction:
     return LevelFunction(ctx, terms.sum(axis=1) / spec.norm_scale)
 
 
-def multiplier_table(spec: VladimirovSpec, ctx: TruncationContext, formula: str = "integral") -> np.ndarray:
-    """Eigenvalue table lambda[u] over the truncated dual: ``|xi|^s`` plus the tag's offset, 0 at xi = 0."""
+def shell_eigenvalues(spec: VladimirovSpec, ctx: TruncationContext, formula: str = "integral") -> np.ndarray:
+    """Eigenvalue on shells j = 0..n: ``|xi|^s = p^(js)`` plus the tag's offset, 0 on shell 0 (xi = 0)."""
     if ctx.p != spec.p:
         raise ValueError(f"context prime {ctx.p} does not match spec prime {spec.p}")
     c = spec.additive_constant
     offsets = {"integral": -c, "plus_constant": c, "scaled_constant": c * float(spec.p) ** (-spec.s)}
     if formula not in offsets:
         raise ValueError(f"unknown formula tag {formula!r}; expected one of {FORMULA_TAGS}")
-    lam = np.power(ctx.norms, spec.s) + offsets[formula]
+    lam = np.power(ctx.shell_norms, spec.s) + offsets[formula]
     lam[0] = 0.0
     return lam
+
+
+def multiplier_table(spec: VladimirovSpec, ctx: TruncationContext, formula: str = "integral") -> np.ndarray:
+    """Eigenvalue table lambda[u] over the truncated dual: :func:`shell_eigenvalues` gathered by shell."""
+    return shell_eigenvalues(spec, ctx, formula)[ctx.shells]
 
 
 def eigenvalue_oracle(spec: VladimirovSpec, freq: Frequency, rtol: float = 1e-10) -> float:

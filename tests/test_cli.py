@@ -473,8 +473,9 @@ def test_sweeps_run_above_the_old_cap(tmp_path, capsys):
     assert doc["constants"][0][0] == pytest.approx(closed_form, rel=1e-15)
 
 
-@pytest.mark.parametrize("n,code", [(5, EXIT_OK), (6, EXIT_CAP)])
+@pytest.mark.parametrize("n,code", [(20, EXIT_OK), (21, EXIT_CAP)])
 def test_s_check_sweep_keeps_its_cap(tmp_path, capsys, n, code):
+    # the shell route is O(n^2), so only the experiment's CAPS entry bounds S_check
     cfg = write_config(
         tmp_path,
         {
@@ -487,7 +488,39 @@ def test_s_check_sweep_keeps_its_cap(tmp_path, capsys, n, code):
     )
     assert main(["run", "--config", str(cfg)]) == code
     err = capsys.readouterr().err.strip()
-    assert code == EXIT_OK or (err.startswith("resource cap:") and "\n" not in err)
+    if code == EXIT_CAP:
+        assert err.startswith("resource cap:") and str(CAPS["seminorm-sweep"]) in err and "\n" not in err
+        return
+    doc = json.loads((tmp_path / "out" / "seminorm.json").read_text())
+    assert doc["family"] == "S_check" and np.all(np.isfinite(doc["constants"]))
+
+
+@pytest.mark.parametrize(
+    "experiment,params",
+    [("vladimirov-eigen", {"s": 2.9}), ("seminorm-sweep", {"family": "S_check"}), ("schur-sweep", {})],
+)
+def test_d_s_readers_build_no_n_entry_table(tmp_path, capsys, monkeypatch, experiment, params):
+    # every N-entry context table (shells, norms, weights) is computed from the valuations
+    def refuse(ctx):
+        raise AssertionError(f"N-entry table built at p^n = {ctx.N}")
+
+    monkeypatch.setattr(TruncationContext, "valuations", property(refuse))
+    doc = {"experiment": experiment, "p": 2, "n": 20, "output_dir": str(tmp_path / "out"), "params": params}
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == EXIT_OK
+    capsys.readouterr()
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_huge_prime_is_rejected_before_the_primality_test(tmp_path, capsys):
+    # trial division up to sqrt(p) would not end on p near 10^18; 2^32 - 5 is the largest prime accepted
+    huge = write_config(tmp_path, {"experiment": "weyl-count", "p": 1000000000000000003, "n": 3}, "huge.json")
+    assert main(["run", "--config", str(huge)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and "2^32" in err and "\n" not in err
+    doc = {"experiment": "seminorm-sweep", "p": 4294967291, "n": 0, "output_dir": str(tmp_path / "out")}
+    assert main(["run", "--config", str(write_config(tmp_path, doc, "top.json"))]) == EXIT_OK
+    capsys.readouterr()
+    assert json.loads((tmp_path / "out" / "seminorm.json").read_text())["family"] == "S_tilde"
 
 
 @pytest.mark.parametrize("family", FAMILIES)

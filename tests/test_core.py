@@ -152,3 +152,16 @@ def test_shell_index_is_the_first_index_of_each_shell(p, n):
     _, first = np.unique(ctx.shells, return_index=True)
     assert np.array_equal(ctx.shell_index, first)
     assert np.array_equal(ctx.shells[ctx.shell_index], np.arange(n + 1))
+
+
+@pytest.mark.parametrize("p,n", [(2, 0), (2, 20), (3, 12), (5, 4), (7, 3), (101, 2)])
+def test_norm_tables_are_the_shell_tables_gathered_by_shell(p, n):
+    ctx = TruncationContext(p, n)
+    # oracle: the N-entry expression, computed from the valuations with no shell table
+    norms = np.power(float(p), n - ctx.valuations.astype(np.float64))
+    norms[0] = 0.0
+    assert np.array_equal(ctx.norms, norms)
+    assert np.array_equal(ctx.weights, np.maximum(1.0, norms))
+    assert ctx.shell_norms.shape == ctx.shell_weights.shape == (n + 1,)
+    assert np.array_equal(ctx.shell_norms, norms[ctx.shell_index])
+    assert np.array_equal(ctx.shell_weights, np.maximum(1.0, norms)[ctx.shell_index])

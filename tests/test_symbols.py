@@ -524,8 +524,10 @@ def test_multiplier_seminorm_matches_brute_force():
 def test_multiplier_seminorm_keeps_the_checks_of_seminorm():
     ctx = TruncationContext(2, 6)
     profile = np.arange(ctx.n + 1.0)
-    with pytest.raises(ResourceCapError):
-        multiplier_seminorm(profile, ctx, "S_check", m=0.0)
+    # the shell route is O(n^2): S_check keeps DOUBLE_DIFFERENCE_CAP only on the dense route
+    top = TruncationContext(2, 20)
+    rep = multiplier_seminorm(np.arange(top.n + 1.0), top, "S_check", m=0.0)
+    assert np.all(np.isfinite(rep.constants)) and np.all(np.isfinite(rep.growth_ratio))
     with pytest.raises(ValueError):
         multiplier_seminorm(profile, ctx, "mystery", m=0.0)
     with pytest.raises(ValueError):

@@ -20,12 +20,14 @@ import pytest
 from padic_calc.core import ConsistencyError, Frequency, TruncationContext
 from padic_calc.fourier import LevelFunction, SpectralFunction, forward, inverse
 from padic_calc.vladimirov import (
+    FORMULA_TAGS,
     VladimirovSpec,
     apply_integral,
     bessel_js,
     eigenvalue_oracle,
     kernel_vector,
     multiplier_table,
+    shell_eigenvalues,
 )
 
 
@@ -265,3 +267,28 @@ def test_integral_table_matches_mpmath_kernel_sum_on_every_shell(p, n, s):
     # and the reference is the closed form, computed independently
     for m in (1, n):
         assert exact[m] == pytest.approx(math.pow(p, m * s) - VladimirovSpec(s, p).additive_constant, rel=1e-12)
+
+
+def n_entry_table(spec, ctx, formula):
+    """Oracle: the closed form evaluated on all N dual indices, from the valuations with no shell table."""
+    norms = np.power(float(ctx.p), ctx.n - ctx.valuations.astype(np.float64))
+    norms[0] = 0.0
+    c = spec.additive_constant
+    offsets = {"integral": -c, "plus_constant": c, "scaled_constant": c * float(spec.p) ** (-spec.s)}
+    lam = np.power(norms, spec.s) + offsets[formula]
+    lam[0] = 0.0
+    return lam
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 9), (2, 20), (3, 7), (3, 12), (5, 5), (7, 3), (101, 2)])
+def test_multiplier_table_is_bit_identical_to_the_n_entry_closed_form(p, n):
+    gen = np.random.default_rng(p * 100 + n)
+    ctx = TruncationContext(p, n)
+    orders = [1.0, 2.0, 1e-3, *gen.uniform(0.01, 4.0, size=4)]
+    for s in orders:
+        spec = VladimirovSpec(float(s), p)
+        for tag in FORMULA_TAGS:
+            table = multiplier_table(spec, ctx, tag)
+            assert np.array_equal(table, n_entry_table(spec, ctx, tag)), (s, tag)
+            shells = shell_eigenvalues(spec, ctx, tag)
+            assert shells.shape == (n + 1,) and np.array_equal(shells, table[ctx.shell_index]), (s, tag)
