@@ -22,7 +22,10 @@ import numpy as np
 from .operator_matrix import (
     OperatorMatrix,
     matrix_to_symbol_table,
+    offset_shells,
     schur_sums,
+    schur_sups,
+    schur_weighted,
     symbol_table_to_matrix,
 )
 from .symbols import Symbol
@@ -181,26 +184,31 @@ def parametrix(
     residuals = {"left": B @ A - eye, "right": A @ B - eye}
 
     cutoffs = tuple(range(threshold, ctx.n))
+    # every block below is read from one |R| and one |R| <eta-xi>^r per r
+    idx = np.arange(ctx.N)
+    shells = offset_shells(ctx, idx, idx)
+    tails = [np.flatnonzero(ctx.norms >= float(ctx.p) ** ell_cut) for ell_cut in cutoffs]
+    low_idx = np.flatnonzero(~high)
     residual_norms = {}
     tail_norms = {}
     fitted = {}
     cut_block = {}
-    low_idx = np.flatnonzero(~high)
     for side, R in residuals.items():
-        residual_norms[side] = {r: schur_sums(R, ctx, r) for r in r_values}
+        magnitudes = np.abs(R)
+        residual_norms[side] = {}
         grid = np.zeros((len(r_values), len(cutoffs)))
-        for ci, ell_cut in enumerate(cutoffs):
-            sel = np.flatnonzero(ctx.norms >= float(ctx.p) ** ell_cut)
-            for ri, r in enumerate(r_values):
-                rs, cs = schur_sums(R, ctx, r, row_idx=sel, col_idx=sel)
-                grid[ri, ci] = max(rs, cs)
+        for ri, r in enumerate(r_values):
+            weighted = schur_weighted(magnitudes, shells, ctx, r)
+            residual_norms[side][r] = schur_sups(weighted, ctx, idx, idx)
+            for ci, sel in enumerate(tails):
+                grid[ri, ci] = max(schur_sups(weighted[np.ix_(sel, sel)], ctx, sel, sel))
         tail_norms[side] = grid
         fitted[side] = {
             r: _decay_order(cutoffs, grid[ri], ctx.p) if len(cutoffs) >= 2 else np.nan
             for ri, r in enumerate(r_values)
         }
-        rs, cs = schur_sums(R, ctx, 0.0, row_idx=low_idx, col_idx=low_idx)
-        cut_block[side] = max(rs, cs)
+        # at r = 0 every weight is exactly 1, so the cut block is a block of |R| itself
+        cut_block[side] = max(schur_sups(magnitudes[np.ix_(low_idx, low_idx)], ctx, low_idx, low_idx))
     return ParametrixReport(
         tau=tau,
         threshold=threshold,

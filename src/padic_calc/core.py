@@ -1,18 +1,18 @@
 """Exact integer-based p-adic arithmetic at a finite truncation level.
 
-A :class:`TruncationContext` fixes a prime ``p`` and a level ``n``; the
-group of p-adic integers is then modelled by the ``N = p^n`` cosets of
-``p^n Z_p`` and its dual by the ``N`` fractions ``u / p^n mod 1``.  All
-norms and valuations are computed with integer arithmetic first and
-converted to floats only at the very end.  The norm and the weight
-``max(1, |xi|_p)`` are constant on each of the n+1 valuation shells, so
-each is computed once per shell (``shell_norms``, ``shell_weights``, O(n))
-and the N-entry ``norms`` and ``weights`` are gathers of those by
-``shells``.  Character values are looked
-up in a single precomputed root-of-unity table after reducing the phase
-``u x`` as an integer mod ``p^n``, so the characters, the character
-tables, the naive transform oracle and the shifted-diagonal gathers
-carry no phase drift.  The fast transform is numpy's FFT (see
+A :class:`TruncationContext` fixes a prime ``p`` below ``MAX_P = 2^32``
+and a level ``n``; the group of p-adic integers is then modelled by the
+``N = p^n`` cosets of ``p^n Z_p`` and its dual by the ``N`` fractions
+``u / p^n mod 1``.  All norms and valuations are computed with integer
+arithmetic first and converted to floats only at the very end.  The norm
+and the weight ``max(1, |xi|_p)`` are constant on each of the n+1
+valuation shells, so each is computed once per shell (``shell_norms``,
+``shell_weights``, O(n)) and the N-entry ``norms`` and ``weights`` are
+gathers of those by ``shells``.  Character values are looked up in a
+single precomputed root-of-unity table after reducing the phase ``u x``
+as an integer mod ``p^n``, so the characters, the character tables, the
+naive transform oracle and the shifted-diagonal gathers carry no phase
+drift.  The fast transform is numpy's FFT (see
 :mod:`padic_calc.fourier`), which uses its own twiddle factors.
 """
 
@@ -34,6 +34,16 @@ class ConsistencyError(RuntimeError):
 
 class ResourceCapError(RuntimeError):
     """A requested computation exceeds a configured resource cap."""
+
+
+#: bound on the prime: p is a uint32 in the binary operator format, and trial
+#: division below it takes milliseconds (it would not end on a p near 10^18)
+MAX_P = 2**32
+
+
+def is_admissible_prime(p: int) -> bool:
+    """Whether ``p`` is a prime below ``MAX_P``; the bound is tested before the trial division."""
+    return p < MAX_P and is_prime(p)
 
 
 def is_prime(p: int) -> bool:
@@ -63,8 +73,8 @@ class TruncationContext:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.p, (int, np.integer)) or not is_prime(int(self.p)):
-            raise ValueError(f"p must be prime, got {self.p!r}")
+        if not isinstance(self.p, (int, np.integer)) or not is_admissible_prime(int(self.p)):
+            raise ValueError(f"p must be a prime below 2^32, got {self.p!r}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 0:
             raise ValueError(f"level n must be a non-negative integer, got {self.n!r}")
         object.__setattr__(self, "p", int(self.p))

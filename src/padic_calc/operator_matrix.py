@@ -142,6 +142,32 @@ def matrix_to_symbol_table(entries: np.ndarray, ctx: TruncationContext) -> np.nd
     return applied * conj_char
 
 
+def offset_shells(ctx: TruncationContext, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Shell of the dual offset ``eta - xi`` for every row ``eta`` and column ``xi``."""
+    return ctx.shells[(rows[:, None] - cols[None, :]) % ctx.N]
+
+
+def schur_weighted(magnitudes: np.ndarray, shells: np.ndarray, ctx: TruncationContext, r: float) -> np.ndarray:
+    """``|M| <eta-xi>^r`` from ``|M|`` and its ``offset_shells``.
+
+    The weight takes one value per shell, so its n+1 powers are taken on
+    ``ctx.shell_weights`` and gathered by the shell of the offset.
+    """
+    return magnitudes * np.power(ctx.shell_weights, r)[shells]
+
+
+def schur_sups(
+    weighted: np.ndarray, ctx: TruncationContext, rows: np.ndarray, cols: np.ndarray, m: float = 0.0
+) -> tuple[float, float]:
+    """``(sup_xi <xi>^-m sum_eta W, sup_eta <eta>^-m sum_xi W)`` of a weighted block W on rows x cols."""
+    if rows.size == 0 or cols.size == 0:
+        return 0.0, 0.0
+    decay = np.power(ctx.shell_weights, -m)
+    row_sup = float(np.max(weighted.sum(axis=0) * decay[ctx.shells[cols]]))
+    col_sup = float(np.max(weighted.sum(axis=1) * decay[ctx.shells[rows]]))
+    return row_sup, col_sup
+
+
 def schur_sums(
     entries: np.ndarray,
     ctx: TruncationContext,
@@ -156,15 +182,11 @@ def schur_sums(
               sup_eta <eta>^-m sum_xi |M| <eta-xi>^r)`` where the offset
     eta - xi is taken in the dual group.  ``row_idx`` / ``col_idx``
     restrict both the matrix and the index bookkeeping to a sub-block.
+    A caller that sums many blocks or exponents of one matrix forms
+    ``schur_weighted`` once per r and reads its blocks with ``schur_sups``.
     """
     entries = np.asarray(entries)
     rows = np.arange(ctx.N) if row_idx is None else np.asarray(row_idx)
     cols = np.arange(ctx.N) if col_idx is None else np.asarray(col_idx)
-    if rows.size == 0 or cols.size == 0:
-        return 0.0, 0.0
-    block = np.abs(entries[np.ix_(rows, cols)])
-    offs = (rows[:, None] - cols[None, :]) % ctx.N
-    weighted = block * np.power(ctx.weights[offs], r)
-    row_sup = float(np.max(weighted.sum(axis=0) * np.power(ctx.weights[cols], -m)))
-    col_sup = float(np.max(weighted.sum(axis=1) * np.power(ctx.weights[rows], -m)))
-    return row_sup, col_sup
+    weighted = schur_weighted(np.abs(entries[np.ix_(rows, cols)]), offset_shells(ctx, rows, cols), ctx, r)
+    return schur_sups(weighted, ctx, rows, cols, m)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConsistencyError, Frequency, TruncationContext, is_prime
+from .core import ConsistencyError, Frequency, TruncationContext, is_admissible_prime
 from .fourier import LevelFunction, SpectralFunction
 
 FORMULA_TAGS = ("integral", "plus_constant", "scaled_constant")
@@ -45,8 +45,8 @@ class VladimirovSpec:
     def __post_init__(self):
         if not self.s > 0:
             raise ValueError(f"order s must be positive, got {self.s}")
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        if not is_admissible_prime(self.p):
+            raise ValueError(f"p must be a prime below 2^32, got {self.p}")
         # p^s must be a float strictly between 1 and inf, or gamma_p divides by 0 or overflows
         with np.errstate(over="ignore"):
             p_to_s = np.power(float(self.p), float(self.s))

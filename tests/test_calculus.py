@@ -6,6 +6,7 @@ import pytest
 from padic_calc.core import TruncationContext
 from padic_calc.calculus import (
     NotEllipticError,
+    _decay_order,
     adjoint_symbol,
     analytic_calculus,
     compose_symbols,
@@ -17,7 +18,7 @@ from padic_calc.calculus import (
     transpose_symbol,
 )
 from padic_calc.fourier import LevelFunction, forward, inner_product
-from padic_calc.operator_matrix import OperatorMatrix
+from padic_calc.operator_matrix import OperatorMatrix, schur_sums
 from padic_calc.symbols import Symbol, vladimirov_symbol
 from padic_calc.vladimirov import VladimirovSpec, multiplier_table
 
@@ -348,3 +349,79 @@ def test_parametrix_near_identity_quadratic_residual():
         tails[eps] = rep.tail_norms["left"][0, 0]
     ratio = tails[0.1] / tails[0.05]
     assert ratio == pytest.approx(4.0, rel=0.2)
+
+
+def schur_sums_direct(entries, ctx, r, m=0.0, row_idx=None, col_idx=None):
+    """The N-entry weight expression ``schur_sums`` used before its shell powers, kept as its oracle."""
+    rows = np.arange(ctx.N) if row_idx is None else np.asarray(row_idx)
+    cols = np.arange(ctx.N) if col_idx is None else np.asarray(col_idx)
+    if rows.size == 0 or cols.size == 0:
+        return 0.0, 0.0
+    block = np.abs(entries[np.ix_(rows, cols)])
+    offs = (rows[:, None] - cols[None, :]) % ctx.N
+    weighted = block * np.power(ctx.weights[offs], r)
+    row_sup = float(np.max(weighted.sum(axis=0) * np.power(ctx.weights[cols], -m)))
+    col_sup = float(np.max(weighted.sum(axis=1) * np.power(ctx.weights[rows], -m)))
+    return row_sup, col_sup
+
+
+def parametrix_schur_loop(sym, rep):
+    """The per-call Schur loop ``parametrix`` ran before it shared |R| across blocks, kept as its oracle."""
+    ctx = sym.ctx
+    A = quantize(sym).to_basis("frequency").entries
+    B = quantize(rep.tau).to_basis("frequency").entries
+    eye = np.eye(ctx.N)
+    high = ctx.norms >= float(ctx.p) ** rep.threshold
+    low_idx = np.flatnonzero(~high)
+    residual_norms, tail_norms, cut_block = {}, {}, {}
+    for side, R in {"left": B @ A - eye, "right": A @ B - eye}.items():
+        residual_norms[side] = {r: schur_sums_direct(R, ctx, r) for r in rep.r_values}
+        grid = np.zeros((len(rep.r_values), len(rep.tail_cutoffs)))
+        for ci, ell_cut in enumerate(rep.tail_cutoffs):
+            sel = np.flatnonzero(ctx.norms >= float(ctx.p) ** ell_cut)
+            for ri, r in enumerate(rep.r_values):
+                grid[ri, ci] = max(schur_sums_direct(R, ctx, r, row_idx=sel, col_idx=sel))
+        tail_norms[side] = grid
+        cut_block[side] = max(schur_sums_direct(R, ctx, 0.0, row_idx=low_idx, col_idx=low_idx))
+    return residual_norms, tail_norms, cut_block
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_parametrix_schur_norms_bit_identical_to_per_call_loop(p, n):
+    ctx = TruncationContext(p, n)
+    gen = np.random.default_rng(p * 10 + n)
+    lam = multiplier_table(VladimirovSpec(1.1, p), ctx)
+    sym = Symbol(ctx, lam[None, :] + 1.0 + 0.2 * gen.normal(size=ctx.N)[:, None])
+    cases = [(1, (0, 1, 2, 3, 4)), (1, (0, 0.5, 3.7)), (n, (0, 1, 2, 3, 4))]
+    for threshold, r_values in cases:
+        rep = parametrix(sym, order=1.1, threshold=threshold, r_values=r_values)
+        if threshold == n:
+            assert rep.tail_cutoffs == ()
+        residual_norms, tail_norms, cut_block = parametrix_schur_loop(sym, rep)
+        assert rep.cut_block_norms == cut_block
+        for side in ("left", "right"):
+            assert list(rep.residual_norms[side]) == list(r_values)
+            for r in r_values:
+                assert np.array_equal(rep.residual_norms[side][r], residual_norms[side][r])
+            assert rep.tail_norms[side].shape == tail_norms[side].shape
+            assert np.array_equal(rep.tail_norms[side], tail_norms[side])
+            fitted = [
+                _decay_order(rep.tail_cutoffs, tail_norms[side][ri], p) if len(rep.tail_cutoffs) >= 2 else np.nan
+                for ri in range(len(r_values))
+            ]
+            assert np.array_equal(list(rep.fitted_orders[side].values()), fitted, equal_nan=True)
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2), (7, 2)])
+def test_schur_sums_shell_powers_equal_the_n_entry_weights(p, n):
+    ctx = TruncationContext(p, n)
+    gen = np.random.default_rng(p + n)
+    M = gen.normal(size=(ctx.N, ctx.N)) + 1j * gen.normal(size=(ctx.N, ctx.N))
+    high = np.flatnonzero(ctx.norms >= p)
+    top = np.flatnonzero(ctx.norms >= float(p) ** n)
+    blocks = [(None, None), (high, high), (high, top), (top, np.arange(ctx.N)), (high[:0], high)]
+    for r in (0, 0.5, 1, 2, 3.7):
+        for m in (0, 1, -0.5):
+            for rows, cols in blocks:
+                got = schur_sums(M, ctx, r, m, row_idx=rows, col_idx=cols)
+                assert got == schur_sums_direct(M, ctx, r, m, row_idx=rows, col_idx=cols)

@@ -567,7 +567,7 @@ def test_seminorm_sweep_at_level_zero(tmp_path, capsys, family):
     assert doc["family"] == family and np.all(np.isfinite(doc["constants"]))
 
 
-@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("seed", [0, 2, 8, 9])
 def test_heat_non_finite_eigen_route_is_a_numeric_failure(tmp_path, capsys, seed):
     # generator entries up to 4^100: the eigensolve passes its residual check, exp(-t lambda) does not survive
     cfg = write_config(
@@ -584,6 +584,24 @@ def test_heat_non_finite_eigen_route_is_a_numeric_failure(tmp_path, capsys, seed
     assert main(["run", "--config", str(cfg)]) == EXIT_NUMERIC
     err = capsys.readouterr().err.strip()
     assert err.startswith("numeric failure:") and "\n" not in err
+
+
+def test_heat_eigen_route_keeps_the_constant_part(tmp_path, capsys):
+    # T = diag(a) D^s kills the constants and has range {g : sum(g / a) = 0}, so exp(-t T) f0
+    # tends to the constant c = sum(f0 / a) / sum(1 / a), whose Sobolev norms are |c| for every k
+    params = {"orders_s": [2.0], "times": [0.0, 40.0]}
+    doc = {"experiment": "heat", "p": 2, "n": 4, "seed": 8, "output_dir": str(tmp_path / "out"), "params": params}
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == EXIT_OK
+    capsys.readouterr()
+    assert json.loads((tmp_path / "out" / "heat.json").read_text())["path"] == "eigen"
+    rng = np.random.default_rng(8)  # the runner's draws, in its order
+    f0 = rng.normal(size=16) + 1j * rng.normal(size=16)
+    a = 1.0 + rng.uniform(0.0, 1.0, size=16)
+    c = abs(np.sum(f0 / a) / np.sum(1.0 / a))
+    rows = [line.split(",") for line in (tmp_path / "out" / "heat.csv").read_text().splitlines()[1:]]
+    late = [float(norm) for t, _, norm in rows if float(t) == 40.0]
+    assert len(late) == 7 and c > 0.1
+    assert np.allclose(late, c, rtol=1e-10, atol=0.0)
 
 
 def smooth_bump_loop(ctx, rng, decay, scale):

@@ -1,12 +1,14 @@
 """Unit and property tests for the exact p-adic arithmetic kernel."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from padic_calc.core import INFINITE_ORDER, Frequency, TruncationContext, is_prime, valuation
+from padic_calc.vladimirov import VladimirovSpec
 
 
 def test_prime_validation():
@@ -165,3 +167,16 @@ def test_norm_tables_are_the_shell_tables_gathered_by_shell(p, n):
     assert ctx.shell_norms.shape == ctx.shell_weights.shape == (n + 1,)
     assert np.array_equal(ctx.shell_norms, norms[ctx.shell_index])
     assert np.array_equal(ctx.shell_weights, np.maximum(1.0, norms)[ctx.shell_index])
+
+
+def test_constructors_bound_p_before_the_trial_division():
+    # trial division up to sqrt(p) would not end on a p near 10^18
+    huge = 1000000000000000003
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="2\\^32"):
+        TruncationContext(huge, 0)
+    with pytest.raises(ValueError, match="2\\^32"):
+        VladimirovSpec(1.0, huge)
+    assert time.perf_counter() - start < 0.1
+    assert TruncationContext(4294967291, 0).N == 1  # 2^32 - 5, the largest prime below the bound
+    assert VladimirovSpec(1.0, 4294967291).p == 4294967291

@@ -10,6 +10,7 @@ from padic_calc.calculus import NotEllipticError, quantize
 from padic_calc.fourier import LevelFunction, forward, l2_norm
 from padic_calc.operator_matrix import OperatorMatrix
 from padic_calc.spectral import (
+    EIGEN_RESIDUAL_TOL,
     SobolevScale,
     counting_function,
     eigen,
@@ -165,6 +166,29 @@ def test_eigen_of_multiplier_and_sample_diagonal():
     assert np.max(np.abs(np.sort(np.abs(dec.values)) - np.sort(np.abs(g)))) < 1e-12
     with pytest.raises(ResourceCapError):
         eigen(OperatorMatrix.identity(ctx), cap=8)
+
+
+def test_eigen_of_an_exactly_real_matrix_takes_the_real_solve(monkeypatch):
+    ctx = TruncationContext(2, 6)
+    gen = rng()
+    terms = [(1.0 + gen.uniform(0.0, 1.0, ctx.N), 1.0), (1.5 + gen.uniform(0.0, 0.5, ctx.N), 0.5)]
+    A = quantize(variable_coefficient_generator(ctx, terms))
+    assert not A.entries.imag.any()
+    solve = np.linalg.eig
+    seen = []
+    monkeypatch.setattr(np.linalg, "eig", lambda a: seen.append(a.dtype) or solve(a))
+    dec = eigen(A)
+    assert seen == [np.float64]
+    assert dec.values.dtype == np.complex128 and dec.vectors.dtype == np.complex128
+    assert dec.max_residual <= EIGEN_RESIDUAL_TOL * dec.operator_norm
+    want = np.sort(np.abs(solve(A.entries)[0]))
+    assert np.max(np.abs(np.abs(dec.values) - want)) <= 1e-12 * want[-1]
+    assert dec.operator_norm == pytest.approx(np.linalg.norm(A.entries, 2), rel=1e-12)
+    # one nonzero imaginary entry, however small, keeps the complex solve
+    entries = A.entries.copy()
+    entries[0, 1] += 1e-300j
+    eigen(OperatorMatrix(ctx, entries))
+    assert seen == [np.float64, np.complex128]
 
 
 def test_counting_function_examples():
