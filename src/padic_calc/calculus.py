@@ -10,6 +10,10 @@ checked against them as theorems in the test-suite, not used as
 definitions.  The transforms behind quantize/symbol_of are numpy's FFT;
 their shifted-diagonal gathers use integer index arithmetic mod p^n,
 and ``matrix_to_symbol_table`` looks its characters up in the root table.
+A symbol radial in xi skips the transform: ``quantize`` gathers its
+matrix from the (N, n+1) shell profile by the valuation of ``x - y``,
+exactly real for a real profile, and the product of two exactly real
+matrices runs in real BLAS.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .operator_matrix import (
     OperatorMatrix,
     matrix_to_symbol_table,
     offset_shells,
+    radial_profile_to_matrix,
     schur_sums,
     schur_sups,
     schur_weighted,
@@ -41,7 +46,16 @@ class NotEllipticError(ValueError):
 
 
 def quantize(sym: Symbol) -> OperatorMatrix:
-    """Sample-basis matrix of the pseudo-differential operator of a symbol."""
+    """Sample-basis matrix of the pseudo-differential operator of a symbol.
+
+    A table that is exactly radial in xi is built from its shell profile
+    in closed form (``radial_profile_to_matrix``), so a real radial
+    symbol gives an exactly real matrix; any other table goes through
+    the transform (``symbol_table_to_matrix``).
+    """
+    profile = sym.shell_profile()
+    if profile is not None:
+        return OperatorMatrix(sym.ctx, radial_profile_to_matrix(profile, sym.ctx), "sample")
     return OperatorMatrix(sym.ctx, symbol_table_to_matrix(sym.table, sym.ctx), "sample")
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import TruncationContext
 from .fourier import LevelFunction, SpectralFunction, dft_axis
@@ -74,7 +75,8 @@ class OperatorMatrix:
             raise ValueError("operator product across different contexts")
         if self.basis != other.basis:
             raise ValueError("operator product across different bases")
-        return OperatorMatrix(self.ctx, self.entries @ other.entries, self.basis)
+        # two exactly real factors multiply in real BLAS; the entries stay complex128
+        return OperatorMatrix(self.ctx, real_if_exact(self.entries) @ real_if_exact(other.entries), self.basis)
 
     def adjoint(self) -> "OperatorMatrix":
         """Conjugate transpose (the Haar weights are uniform, so no rescale)."""
@@ -118,6 +120,15 @@ class OperatorMatrix:
         return OperatorMatrix(ctx, data[..., 0] + 1j * data[..., 1], _TAG_BASIS[tag])
 
 
+def real_if_exact(entries: np.ndarray) -> np.ndarray:
+    """``entries.real`` when no imaginary part is nonzero, else ``entries``.
+
+    The test is exact, not a tolerance, so a real view never drops a
+    nonzero imaginary entry.
+    """
+    return entries if entries.imag.any() else entries.real
+
+
 def symbol_table_to_matrix(table: np.ndarray, ctx: TruncationContext) -> np.ndarray:
     """Sample-basis entries of the operator with symbol table sigma[x, u].
 
@@ -128,6 +139,33 @@ def symbol_table_to_matrix(table: np.ndarray, ctx: TruncationContext) -> np.ndar
     x = np.arange(ctx.N)
     idx = (x[:, None] - x[None, :]) % ctx.N
     return np.take_along_axis(B, idx, axis=1) / ctx.N
+
+
+def radial_profile_to_matrix(profile: np.ndarray, ctx: TruncationContext) -> np.ndarray:
+    """Sample-basis entries of the operator of a symbol radial in xi, from its shell profile.
+
+    ``profile[x, j]`` is sigma(x, xi) on the shell ``|xi| = p^j`` (j = 0 is
+    xi = 0).  The characters of shell j sum to ``p^j - p^(j-1)`` at offsets
+    ``x - y`` of valuation at least j, to ``-p^(j-1)`` at valuation j - 1
+    and to 0 below, so ``A[x, y] = G[x, v(x - y)]`` with
+    ``G[x, k] = p^-n (sum_(j<=k) P[x, j] |shell j| - P[x, k+1] p^k)``; the
+    last term is absent at k = n.  One cumsum over the n+1 shells and one
+    gather, with no transform: a real profile gives an exactly real matrix.
+    """
+    P = np.asarray(profile)
+    p, n, N = ctx.p, ctx.n, ctx.N
+    if P.shape != (N, n + 1):
+        raise ValueError(f"radial profile must have shape ({N}, {n + 1}), got {P.shape}")
+    powers = np.power(float(p), np.arange(n + 1))
+    sizes = np.concatenate(([1.0], powers[1:] - powers[:-1]))  # characters per shell
+    G = np.cumsum(P * sizes, axis=1)
+    G[:, :n] -= P[:, 1:] * powers[:n]
+    G /= N
+    # v(x - y) = v(y - x), so row x of the offset valuations is ``valuations``
+    # rolled by x: a strided view of two copies, with no N^2 index arithmetic
+    ring = np.concatenate((ctx.valuations, ctx.valuations))
+    rolled = sliding_window_view(ring, N)[N:0:-1]
+    return G.ravel()[rolled + (n + 1) * np.arange(N)[:, None]]
 
 
 def matrix_to_symbol_table(entries: np.ndarray, ctx: TruncationContext) -> np.ndarray:

@@ -4,15 +4,18 @@ The ``H^(t+m) -> H^t`` operator norm has two routes.  A multiplier (an
 x-independent symbol, such as ``D^s``) is diagonalized exactly by the
 transform, so ``op_norm_sobolev_multiplier`` reads the norm off its
 eigenvalue vector in closed form, in O(N) time and memory.  Any other
-operator goes through ``op_norm_sobolev``: the dense frequency-basis
-matrix, conjugated by the weights, and its largest singular value.
+operator goes through ``op_norm_sobolev``: the dense matrix in a basis of
+characters, conjugated by the weights, and its largest singular value.
+An exactly real sample-basis matrix takes the real Hartley basis and a
+real SVD; any other matrix takes the frequency basis.
 
 ``eigen`` is the dense route of heat flow.  A matrix with no nonzero
 imaginary entry, such as the sample-basis generator of
-``variable_coefficient_generator`` at p = 2 or 3, goes to the real LAPACK
-eigensolver; the test is exact, so a matrix carrying any imaginary
-rounding keeps the complex one.  Every eigenpair is certified by its
-residual, and ``heat_evolve`` refuses to propagate to times ``t`` with
+``variable_coefficient_generator`` (a real radial symbol, quantized in
+closed form) at every p, goes to the real LAPACK eigensolver; the test is
+exact (``real_if_exact``), so a matrix carrying any imaginary rounding
+keeps the complex one.  Every eigenpair is certified by its residual,
+and ``heat_evolve`` refuses to propagate to times ``t`` with
 ``t * max_residual >= 1``.
 """
 
@@ -25,7 +28,7 @@ import numpy as np
 from .calculus import NotEllipticError, ellipticity_report, quantize
 from .core import ConsistencyError, ResourceCapError, TruncationContext
 from .fourier import LevelFunction, SpectralFunction, forward
-from .operator_matrix import OperatorMatrix
+from .operator_matrix import OperatorMatrix, real_if_exact
 from .symbols import Symbol
 from .vladimirov import VladimirovSpec, multiplier_table
 
@@ -103,9 +106,27 @@ def embedding_check(f: LevelFunction, s: float) -> EmbeddingReport:
     )
 
 
+def _cas(a: np.ndarray, axis: int) -> np.ndarray:
+    """Discrete Hartley transform ``Re fft(a) - Im fft(a)`` of a real array along one axis."""
+    F = np.fft.fft(a, axis=axis)
+    return F.real - F.imag
+
+
 def op_norm_sobolev(A: OperatorMatrix, s: float, m: float) -> float:
-    """Spectral norm of J_s A J_-(s+m): the H^(s+m) -> H^s operator norm."""
-    M = A.entries if A.basis == "frequency" else A.to_basis("frequency").entries
+    """Spectral norm of J_s A J_-(s+m): the H^(s+m) -> H^s operator norm.
+
+    An exactly real sample-basis matrix is taken to the Hartley basis,
+    ``cas(cas(A, axis=0), axis=1) / N``, which is real.  The Hartley
+    transform is ``V F`` with ``V = ((1+i)/2) I + ((1-i)/2) P`` unitary and
+    ``P`` the swap of xi and -xi; ``V`` commutes with the weights because
+    ``|xi|_p = |-xi|_p``, so the conjugated matrix has the singular values
+    of the frequency-basis one and its norm is a real SVD.  Any other
+    matrix is conjugated in the frequency basis.
+    """
+    if A.basis == "sample" and not A.entries.imag.any():
+        M = _cas(_cas(A.entries.real, 0), 1) / A.ctx.N
+    else:
+        M = A.entries if A.basis == "frequency" else A.to_basis("frequency").entries
     w = A.ctx.weights
     conj = np.power(w, s)[:, None] * M * np.power(w, -(s + m))[None, :]
     return float(np.linalg.norm(conj, 2))
@@ -203,7 +224,7 @@ def eigen(A: OperatorMatrix, cap: int = DENSE_EIG_CAP) -> EigenDecomposition:
     if A.ctx.N > cap:
         raise ResourceCapError(f"dense eigensolve of size {A.ctx.N} exceeds cap {cap}")
     entries = A.entries if A.basis == "sample" else A.to_basis("sample").entries
-    solved = entries if entries.imag.any() else entries.real
+    solved = real_if_exact(entries)
     w, V = np.linalg.eig(solved)
     w, V = w.astype(np.complex128, copy=False), V.astype(np.complex128, copy=False)
     order = np.argsort(np.abs(w), kind="stable")
@@ -306,8 +327,8 @@ def heat_evolve(generator, f0: LevelFunction, times, orders) -> HeatTrajectory:
     other symbol or operator matrix goes through the dense
     eigen-decomposition.  That route raises ``ConsistencyError`` when
     ``max(times) * max_residual >= 1``, since an eigenpair known only to
-    within its residual cannot carry ``exp(-t lambda)`` that far, and
-    when the propagated norms are not finite.
+    within its residual cannot carry ``exp(-t lambda)`` that far.  Either
+    route raises it when the propagated norms are not finite.
     """
     times = [float(t) for t in times]
     orders = [float(k) for k in orders]
@@ -319,11 +340,13 @@ def heat_evolve(generator, f0: LevelFunction, times, orders) -> HeatTrajectory:
         F0 = forward(f0).coeffs
         norms = np.zeros((len(times), len(orders)))
         mags = np.zeros((len(times), ctx.N))
-        for i, t in enumerate(times):
-            coeffs = np.exp(-t * lam) * F0
-            mags[i] = np.abs(coeffs)
-            for j, k in enumerate(orders):
-                norms[i, j] = sobolev_norm(SpectralFunction(ctx, coeffs), k)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+            for i, t in enumerate(times):
+                coeffs = np.exp(-t * lam) * F0
+                mags[i] = np.abs(coeffs)
+                for j, k in enumerate(orders):
+                    norms[i, j] = sobolev_norm(SpectralFunction(ctx, coeffs), k)
+        _require_finite(norms, "multiplier", lam)
         return HeatTrajectory(times, orders, norms, mags, "multiplier")
 
     A = quantize(generator) if isinstance(generator, Symbol) else generator
@@ -341,12 +364,16 @@ def heat_evolve(generator, f0: LevelFunction, times, orders) -> HeatTrajectory:
             ft = LevelFunction(ctx, dec.vectors @ modal)
             for j, k in enumerate(orders):
                 norms[i, j] = sobolev_norm(ft, k)
-    if not np.all(np.isfinite(norms)):
-        # a residual-certified eigensolve can still be too inexact for exp(-t lambda)
-        raise ConsistencyError(
-            f"eigen route gave non-finite Sobolev norms (eigenvalue moduli up to {np.max(np.abs(dec.values)):.3e})"
-        )
+    # a residual-certified eigensolve can still be too inexact for exp(-t lambda)
+    _require_finite(norms, "eigen", dec.values)
     return HeatTrajectory(times, orders, norms, mags, "eigen", eigenvalues=dec.values)
+
+
+def _require_finite(norms: np.ndarray, route: str, eigenvalues: np.ndarray) -> None:
+    if not np.all(np.isfinite(norms)):
+        raise ConsistencyError(
+            f"{route} route gave non-finite Sobolev norms (eigenvalue moduli up to {np.max(np.abs(eigenvalues)):.3e})"
+        )
 
 
 def variable_coefficient_generator(ctx: TruncationContext, terms) -> Symbol:

@@ -18,7 +18,8 @@ from padic_calc.calculus import (
     transpose_symbol,
 )
 from padic_calc.fourier import LevelFunction, forward, inner_product
-from padic_calc.operator_matrix import OperatorMatrix, schur_sums
+from padic_calc.operator_matrix import OperatorMatrix, radial_profile_to_matrix, schur_sums, symbol_table_to_matrix
+from padic_calc.spectral import variable_coefficient_generator
 from padic_calc.symbols import Symbol, vladimirov_symbol
 from padic_calc.vladimirov import VladimirovSpec, multiplier_table
 
@@ -58,6 +59,59 @@ def test_quantize_agrees_with_spectral_formula():
     spectral = np.sum(sym.table * forward(f).coeffs[None, :] * ctx.character_matrix(), axis=1)
     applied = quantize(sym).apply(f).values
     assert np.max(np.abs(applied - spectral)) < 1e-11 * max(1.0, np.max(np.abs(spectral)))
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2), (5, 4), (2, 1), (3, 0)])
+def test_quantize_of_a_radial_table_matches_the_transform_route(p, n):
+    ctx = TruncationContext(p, n)
+    gen = np.random.default_rng(p * 10 + n)
+    real = gen.normal(size=(ctx.N, n + 1))
+    for profile in (real, real + 1j * gen.normal(size=real.shape)):
+        sym = Symbol.radial(ctx, profile)
+        got = quantize(sym).entries
+        want = symbol_table_to_matrix(sym.table, ctx)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # the closed form has no transform rounding: a real profile gives an exactly real matrix
+    assert not quantize(Symbol.radial(ctx, real)).entries.imag.any()
+
+
+def test_quantize_of_the_heat_generator_is_exactly_real_at_p_5():
+    ctx = TruncationContext(5, 3)
+    gen = rng()
+    terms = [(1.0 + gen.uniform(0.0, 1.0, ctx.N), 1.0), (1.5 + gen.uniform(0.0, 0.5, ctx.N), 0.5)]
+    sym = variable_coefficient_generator(ctx, terms)
+    assert not quantize(sym).entries.imag.any()
+    # the transform route leaves imaginary rounding on the same kernel
+    assert symbol_table_to_matrix(sym.table, ctx).imag.any()
+
+
+def test_quantize_of_a_non_radial_table_keeps_the_transform_route():
+    ctx = TruncationContext(3, 3)
+    gen = rng()
+    radial = Symbol.radial(ctx, gen.normal(size=(ctx.N, ctx.n + 1)))
+    table = radial.table.copy()
+    table[4, ctx.shell_index[2] + 3] *= 1.0 + 2.0**-52  # one entry off its shell value
+    for sym in (random_symbol(ctx, gen), Symbol(ctx, table)):
+        assert sym.shell_profile() is None
+        assert np.array_equal(quantize(sym).entries, symbol_table_to_matrix(sym.table, ctx))
+    with pytest.raises(ValueError, match="radial profile must have shape"):
+        radial_profile_to_matrix(np.zeros((ctx.N, ctx.n)), ctx)
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5)])
+def test_matmul_of_exactly_real_matrices_runs_in_real_blas(p, n):
+    ctx = TruncationContext(p, n)
+    gen = rng()
+    A, B = (OperatorMatrix(ctx, gen.normal(size=(ctx.N, ctx.N))) for _ in range(2))
+    got = A.matmul(B).entries
+    want = A.entries @ B.entries  # complex128 operands: zgemm
+    assert got.dtype == np.complex128 and not got.imag.any()
+    # within the rounding bound of each dot product
+    bound = np.abs(A.entries) @ np.abs(B.entries)
+    assert np.all(np.abs(got - want) <= 1e-15 * bound)
+    # a complex factor keeps the complex product, bit for bit
+    C = OperatorMatrix(ctx, B.entries + 1j * gen.normal(size=(ctx.N, ctx.N)))
+    assert np.array_equal(A.matmul(C).entries, A.entries @ C.entries)
 
 
 def test_symbol_matrix_round_trips():

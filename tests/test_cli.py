@@ -586,6 +586,18 @@ def test_heat_non_finite_eigen_route_is_a_numeric_failure(tmp_path, capsys, seed
     assert err.startswith("numeric failure:") and "\n" not in err
 
 
+def test_heat_non_finite_multiplier_route_is_a_numeric_failure(tmp_path, capsys, recwarn):
+    # every coefficient rounds to -1e300, so the rows are equal and exp(-t lambda) overflows
+    out = tmp_path / "out"
+    params = {"coefficient_floor": -1e300}
+    doc = {"experiment": "heat", "p": 2, "n": 3, "seed": 1, "output_dir": str(out), "params": params}
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == EXIT_NUMERIC
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("numeric failure: multiplier route") and "\n" not in err
+    assert not (out / "heat.csv").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_heat_eigen_route_keeps_the_constant_part(tmp_path, capsys):
     # T = diag(a) D^s kills the constants and has range {g : sum(g / a) = 0}, so exp(-t T) f0
     # tends to the constant c = sum(f0 / a) / sum(1 / a), whose Sobolev norms are |c| for every k

@@ -87,6 +87,34 @@ def test_op_norm_sobolev_identities():
         assert op_norm_sobolev(jm, s, 1.5) == pytest.approx(1.0, rel=1e-9)
 
 
+def op_norm_frequency_route(A, s, m):
+    """The frequency-basis expression of ``op_norm_sobolev``, kept as its oracle."""
+    M = A.entries if A.basis == "frequency" else A.to_basis("frequency").entries
+    w = A.ctx.weights
+    return float(np.linalg.norm(np.power(w, s)[:, None] * M * np.power(w, -(s + m))[None, :], 2))
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2), (2, 1)])
+def test_op_norm_sobolev_of_a_real_sample_matrix_is_a_real_svd(p, n, monkeypatch):
+    ctx = TruncationContext(p, n)
+    gen = np.random.default_rng(p * 10 + n)
+    A = OperatorMatrix(ctx, gen.normal(size=(ctx.N, ctx.N)))
+    C = OperatorMatrix(ctx, A.entries + 1j * gen.normal(size=(ctx.N, ctx.N)))
+    inputs = (C, A.to_basis("frequency"), C.to_basis("frequency"))
+    norm = np.linalg.norm
+    seen = []
+    monkeypatch.setattr(np.linalg, "norm", lambda a, *args: seen.append(a.dtype) or norm(a, *args))
+    for s, m in [(0.0, 0.0), (1.0, 0.5), (-1.0, 2.0), (2.5, -1.0)]:
+        seen.clear()
+        assert op_norm_sobolev(A, s, m) == pytest.approx(op_norm_frequency_route(A, s, m), rel=1e-13, abs=0.0)
+        assert seen[0] == np.float64
+        # complex and frequency-basis inputs keep the frequency-basis route, bit for bit
+        for B in inputs:
+            seen.clear()
+            assert op_norm_sobolev(B, s, m) == op_norm_frequency_route(B, s, m)
+            assert seen[0] == np.complex128
+
+
 def test_op_norm_level_stability_for_vladimirov():
     vals = {}
     for n in (5, 6):
