@@ -123,8 +123,9 @@ def op_norm_sobolev(A: OperatorMatrix, s: float, m: float) -> float:
     of the frequency-basis one and its norm is a real SVD.  Any other
     matrix is conjugated in the frequency basis.
     """
-    if A.basis == "sample" and not A.entries.imag.any():
-        M = _cas(_cas(A.entries.real, 0), 1) / A.ctx.N
+    real = real_if_exact(A.entries)
+    if A.basis == "sample" and not np.iscomplexobj(real):
+        M = _cas(_cas(real, 0), 1) / A.ctx.N
     else:
         M = A.entries if A.basis == "frequency" else A.to_basis("frequency").entries
     w = A.ctx.weights
