@@ -169,7 +169,7 @@ CAPS = {
     "parametrix": 2**8,
     "sobolev-bound": 2**20,  # 0.72 s, 148 MB peak RSS with s_values [0.5, 1, 2]
     "weyl-count": 2**20,  # 1.30-1.43 s, 121 MB peak RSS
-    "heat": 2**10,  # 2.0-2.3 s, 135 MB peak RSS, real eigensolve
+    "heat": 2**10,  # 1.7-2.2 s, 130 MB peak RSS, real eigensolve (exactly real generator at every p)
 }
 
 

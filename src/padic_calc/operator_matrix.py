@@ -145,9 +145,10 @@ def radial_profile_to_matrix(profile: np.ndarray, ctx: TruncationContext) -> np.
     """Sample-basis entries of the operator of a symbol radial in xi, from its shell profile.
 
     ``profile[x, j]`` is sigma(x, xi) on the shell ``|xi| = p^j`` (j = 0 is
-    xi = 0).  The characters of shell j sum to ``p^j - p^(j-1)`` at offsets
-    ``x - y`` of valuation at least j, to ``-p^(j-1)`` at valuation j - 1
-    and to 0 below, so ``A[x, y] = G[x, v(x - y)]`` with
+    xi = 0, whose character sums to 1).  The characters of a shell j >= 1
+    sum to ``p^j - p^(j-1)`` at offsets ``x - y`` of valuation at least j,
+    to ``-p^(j-1)`` at valuation j - 1 and to 0 below, so
+    ``A[x, y] = G[x, v(x - y)]`` with
     ``G[x, k] = p^-n (sum_(j<=k) P[x, j] |shell j| - P[x, k+1] p^k)``; the
     last term is absent at k = n.  One cumsum over the n+1 shells and one
     gather, with no transform: a real profile gives an exactly real matrix.
@@ -157,7 +158,7 @@ def radial_profile_to_matrix(profile: np.ndarray, ctx: TruncationContext) -> np.
     if P.shape != (N, n + 1):
         raise ValueError(f"radial profile must have shape ({N}, {n + 1}), got {P.shape}")
     powers = np.power(float(p), np.arange(n + 1))
-    sizes = np.concatenate(([1.0], powers[1:] - powers[:-1]))  # characters per shell
+    sizes = np.diff(powers, prepend=0.0)  # characters per shell: 1, p - 1, p^2 - p, ...
     G = np.cumsum(P * sizes, axis=1)
     G[:, :n] -= P[:, 1:] * powers[:n]
     G /= N
