@@ -370,7 +370,7 @@ def _perturbed_vladimirov(cfg, ctx, rng, decay: float):
     lam = shell_eigenvalues(VladimirovSpec(s, cfg.p), ctx)
     margin = float(np.min(lam[max(threshold, 1) :]))
     V = _smooth_bump(ctx, rng, decay=decay, scale=eps_rel * margin)
-    return s, threshold, float(eps_rel * margin), Symbol(ctx, lam[ctx.shells][None, :] + V[:, None])
+    return s, threshold, float(eps_rel * margin), Symbol.radial(ctx, lam[None, :] + V[:, None])
 
 
 def _run_wiener(cfg, ctx, rng, out):

@@ -73,11 +73,33 @@ def _to_json(ctx: TruncationContext, arr: np.ndarray, **tag) -> str:
 
 
 def _from_json(text: str, kind: str | None = None):
-    """``(doc, ctx, complex array)`` of a ``{p, n, re, im}`` document of the given kind."""
+    """``(doc, ctx, complex array)`` of a ``{p, n, re, im}`` document of the given kind.
+
+    A malformed document raises ``ValueError`` naming the field.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
     if kind is not None and doc.get("kind") != kind:
         raise ValueError(f"expected kind {kind!r}, got {doc.get('kind')!r}")
-    return doc, TruncationContext(doc["p"], doc["n"]), np.asarray(doc["re"]) + 1j * np.asarray(doc["im"])
+    missing = [key for key in ("p", "n", "re", "im") if key not in doc]
+    if missing:
+        raise ValueError(f"missing field {missing[0]!r}")
+    re, im = _numbers(doc, "re"), _numbers(doc, "im")
+    if re.shape != im.shape:
+        raise ValueError(f"fields 're' and 'im' differ in shape: {re.shape} vs {im.shape}")
+    return doc, TruncationContext(doc["p"], doc["n"]), re + 1j * im
+
+
+def _numbers(doc: dict, key: str) -> np.ndarray:
+    """``doc[key]`` as an array of numbers; ``ValueError`` naming the field otherwise."""
+    try:
+        arr = np.asarray(doc[key])
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"field {key!r} must be a rectangular array of numbers")
+    return arr
 
 
 @dataclass

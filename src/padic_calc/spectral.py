@@ -30,7 +30,7 @@ from .core import ConsistencyError, ResourceCapError, TruncationContext
 from .fourier import LevelFunction, SpectralFunction, forward
 from .operator_matrix import OperatorMatrix, real_if_exact
 from .symbols import Symbol
-from .vladimirov import VladimirovSpec, multiplier_table
+from .vladimirov import VladimirovSpec, shell_eigenvalues
 
 DENSE_EIG_CAP = 4096
 #: largest accepted eigenpair residual, relative to ||A||
@@ -378,15 +378,14 @@ def _require_finite(norms: np.ndarray, route: str, eigenvalues: np.ndarray) -> N
 
 
 def variable_coefficient_generator(ctx: TruncationContext, terms) -> Symbol:
-    """Symbol of ``sum_i a_i(x) D^{s_i}``: rows scale the eigenvalue tables.
+    """Symbol of ``sum_i a_i(x) D^{s_i}``, expanded from its ``(N, n+1)`` shell profile.
 
     ``terms`` is an iterable of (coefficient sample vector, order s_i).
     """
-    table = np.zeros((ctx.N, ctx.N), dtype=np.complex128)
+    profile = np.zeros((ctx.N, ctx.n + 1), dtype=np.complex128)
     for a_vals, s in terms:
         a = np.asarray(a_vals, dtype=np.complex128)
         if a.shape != (ctx.N,):
             raise ValueError(f"coefficient needs {ctx.N} samples, got {a.shape}")
-        lam = multiplier_table(VladimirovSpec(float(s), ctx.p), ctx)
-        table += a[:, None] * lam[None, :]
-    return Symbol(ctx, table)
+        profile += a[:, None] * shell_eigenvalues(VladimirovSpec(float(s), ctx.p), ctx)[None, :]
+    return Symbol.radial(ctx, profile)

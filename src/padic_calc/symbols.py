@@ -5,8 +5,8 @@ indices u, and the table is all it stores.  Structure is read off the
 table: a Fourier multiplier is a table whose rows are all exactly equal
 (``Symbol.multiplier_values``), and a radial symbol depends on u only
 through |xi|_p, with a per-x profile over shells j = 0 for xi = 0 and
-j = 1..n for norm p^j (``Symbol.shell_profile`` when the table is exactly
-radial, ``Symbol.radial_profile`` within ``RADIAL_TOL``).
+j = 1..n for norm p^j (``Symbol.shell_profile``; None unless the table is
+exactly radial, which family S and ``radial_delta`` require).
 ``Symbol.multiplier`` and ``Symbol.radial`` expand a vector or a profile
 into a table exactly.
 
@@ -60,8 +60,6 @@ FAMILIES = ("S", "S_tilde", "S_check")
 AMPLITUDE_CAP = 2**21
 #: work cap for the quartic double-difference sweep (p^{4n} cells)
 DOUBLE_DIFFERENCE_CAP = 2**20
-#: relative tolerance within which a table counts as radial
-RADIAL_TOL = 1e-12
 
 
 @dataclass
@@ -103,16 +101,6 @@ class Symbol:
         """Per-x shell profile when the table equals its expansion exactly (radial in xi), else None."""
         prof = self.table[:, self.ctx.shell_index]
         return prof if np.all(self.table == prof[:, self.ctx.shells]) else None
-
-    def radial_profile(self) -> np.ndarray:
-        """Per-x shell profile read off the table; raises unless radial within ``RADIAL_TOL``."""
-        sh = self.ctx.shells
-        prof = self.table[:, self.ctx.shell_index]
-        scale = max(1.0, float(np.max(np.abs(self.table))))
-        off = np.max(np.abs(self.table - prof[:, sh]), axis=0) > RADIAL_TOL * scale
-        if np.any(off):
-            raise ValueError(f"symbol is not radial on shell {int(sh[off].min())}")
-        return prof
 
     def to_json(self) -> str:
         return _to_json(self.ctx, self.table)
@@ -194,7 +182,9 @@ def radial_delta(sym: Symbol, alpha: int) -> Symbol:
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    prof = sym.radial_profile()
+    prof = sym.shell_profile()
+    if prof is None:
+        raise ValueError("radial_delta needs a table that is exactly radial in xi")
     ctx = sym.ctx
     if alpha == 0:
         return Symbol.radial(ctx, prof)
@@ -287,9 +277,11 @@ def _s_profile_ratios(prof, ctx, x_constant, m, rho, delta, alpha_max, beta_max)
 
 
 def _s_ratios(sym: Symbol, m, rho, delta, alpha_max, beta_max):
-    """Family S: the radial profile read off the table."""
-    constant = sym.multiplier_values() is not None
-    return _s_profile_ratios(sym.radial_profile(), sym.ctx, constant, m, rho, delta, alpha_max, beta_max)
+    """Family S: the shell profile of an exactly radial table."""
+    prof = sym.shell_profile()
+    if prof is None:
+        raise ValueError("family S needs a table that is exactly radial in xi")
+    return _shell_ratios(prof, sym.ctx, "S", m, rho, delta, alpha_max, beta_max)
 
 
 def _s_tilde_ratios(sym: Symbol, m, rho, delta, alpha_max, beta_max):

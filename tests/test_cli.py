@@ -22,6 +22,7 @@ from padic_calc.cli import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
+    _perturbed_vladimirov,
     _smooth_bump,
     fmt,
     main,
@@ -31,7 +32,7 @@ from padic_calc.fourier import dft
 from padic_calc.spectral import op_norm_sobolev
 from padic_calc.matrix_algebra import equivalence_check
 from padic_calc.symbols import _FAMILY_RATIOS, FAMILIES, _sweep, vladimirov_symbol
-from padic_calc.vladimirov import VladimirovSpec, multiplier_table
+from padic_calc.vladimirov import VladimirovSpec, multiplier_table, shell_eigenvalues
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -707,3 +708,14 @@ def test_perturbed_runners_match_pinned_values(tmp_path, capsys):
     para = json.loads((tmp_path / "parametrix" / "parametrix.json").read_text())
     assert para["cut_block_norms"]["left"] == pytest.approx(1.010057855758118, rel=1e-9)
     assert para["tail_norms"]["left"][0][0] == pytest.approx(0.010244804668541382, rel=1e-9)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 5), (3, 4), (5, 3)])
+def test_perturbed_vladimirov_is_bit_identical_to_the_tiled_table(p, n):
+    cfg = ExperimentConfig("wiener", p, n, params={"s": 1.4, "perturbation": 0.3})
+    ctx = TruncationContext(p, n)
+    s, _, scale, sym = _perturbed_vladimirov(cfg, ctx, np.random.default_rng(7), decay=6.0)
+    lam = shell_eigenvalues(VladimirovSpec(s, p), ctx)
+    V = _smooth_bump(ctx, np.random.default_rng(7), decay=6.0, scale=scale)
+    assert np.array_equal(sym.table, lam[ctx.shells][None, :] + V[:, None])
+    assert np.array_equal(sym.shell_profile(), lam[None, :] + V[:, None])

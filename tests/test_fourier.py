@@ -1,5 +1,7 @@
 """Transform tests: the FFT path and the naive table-lookup sum against independent oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from padic_calc.fourier import (
     refine,
     spectral_l2_norm,
 )
+from padic_calc.symbols import Symbol
 
 
 def slow_dft(values, p, n, sign):
@@ -197,3 +200,28 @@ def test_json_round_trip():
     assert np.max(np.abs(F2.coeffs - F.coeffs)) == 0.0
     with pytest.raises(ValueError):
         LevelFunction.from_json(F.to_json())
+
+
+@pytest.mark.parametrize(
+    "cls,kind,shape",
+    [(LevelFunction, "point", (2,)), (SpectralFunction, "spectral", (2,)), (Symbol, None, (2, 2))],
+)
+def test_json_loaders_reject_malformed_documents_naming_the_field(cls, kind, shape):
+    tag = {} if kind is None else {"kind": kind}
+    good = {**tag, "p": 2, "n": 1, "re": np.ones(shape).tolist(), "im": np.zeros(shape).tolist()}
+    assert cls.from_json(json.dumps(good)).ctx == TruncationContext(2, 1)
+    bad = [(json.dumps([1, 2]), "JSON object"), (json.dumps("text"), "JSON object")]
+    for key in ("p", "n", "re", "im"):
+        bad.append((json.dumps({k: v for k, v in good.items() if k != key}), f"missing field '{key}'"))
+    for key in ("re", "im"):
+        entries = np.ones(shape).tolist()
+        entries[-1] = "a" if len(shape) == 1 else ["a", 1]
+        bad.append((json.dumps({**good, key: entries}), f"field '{key}'"))
+        bad.append((json.dumps({**good, key: [None] * shape[0]}), f"field '{key}'"))
+        bad.append((json.dumps({**good, key: [[1.0], [1.0, 2.0]]}), f"field '{key}'"))
+    # a shorter im used to broadcast against re
+    bad.append((json.dumps({**good, "im": np.zeros(shape)[:1].tolist()}), "'re' and 'im' differ in shape"))
+    bad.append((json.dumps({**good, "im": 0.0}), "'re' and 'im' differ in shape"))
+    for text, match in bad:
+        with pytest.raises(ValueError, match=match):
+            cls.from_json(text)

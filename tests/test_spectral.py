@@ -24,7 +24,7 @@ from padic_calc.spectral import (
     weyl_slope_fit,
 )
 from padic_calc.symbols import Symbol, seminorm, vladimirov_symbol
-from padic_calc.vladimirov import VladimirovSpec, multiplier_table
+from padic_calc.vladimirov import VladimirovSpec, multiplier_table, shell_eigenvalues
 
 
 def rng():
@@ -350,6 +350,32 @@ def test_variable_coefficient_generator_positive_spectrum():
     # constants stay in the kernel
     ones = LevelFunction(ctx, np.ones(ctx.N))
     assert np.max(np.abs(quantize(sym).apply(ones).values)) < 1e-9
+
+
+def n_by_n_generator_table(ctx, terms):
+    """The generator's table accumulated over the full N x N grid, term by term."""
+    table = np.zeros((ctx.N, ctx.N), dtype=np.complex128)
+    for a_vals, s in terms:
+        lam = multiplier_table(VladimirovSpec(float(s), ctx.p), ctx)
+        table += np.asarray(a_vals, dtype=np.complex128)[:, None] * lam[None, :]
+    return table
+
+
+@pytest.mark.parametrize("p,n", [(2, 0), (2, 8), (3, 4), (5, 3), (7, 2)])
+@pytest.mark.parametrize("complex_coefficients", [False, True])
+def test_variable_coefficient_generator_is_bit_identical_to_the_n_by_n_table(p, n, complex_coefficients):
+    ctx = TruncationContext(p, n)
+    gen = np.random.default_rng(p * 10 + n)
+    terms = []
+    for s in (1.0, 0.5, 1.7):
+        a = 1.0 + gen.uniform(0.0, 1.0, ctx.N)
+        terms.append((a + 1j * gen.normal(size=ctx.N) if complex_coefficients else a, s))
+    sym = variable_coefficient_generator(ctx, terms)
+    assert np.array_equal(sym.table, n_by_n_generator_table(ctx, terms))
+    profile = np.zeros((ctx.N, n + 1), dtype=np.complex128)
+    for a, s in terms:
+        profile += np.asarray(a, dtype=np.complex128)[:, None] * shell_eigenvalues(VladimirovSpec(s, p), ctx)[None, :]
+    assert np.array_equal(sym.shell_profile(), profile)
 
 
 def test_pointwise_product_sobolev_bound():

@@ -50,7 +50,7 @@ def test_symbol_forms_expand_exactly():
     for u in range(1, ctx.N):
         j = int(ctx.shells[u])
         assert np.all(rad.table[:, u] == prof[j])
-    rec = rad.radial_profile()
+    rec = rad.shell_profile()
     assert np.max(np.abs(rec - prof[None, :])) == 0.0
 
 
@@ -81,15 +81,22 @@ def test_shell_profile_reads_exact_radiality(p, n):
     if ctx.N > p:  # a shell with two columns, one nudged off the other by a rounding step
         table = Symbol.radial(ctx, prof).table.copy()
         table[0, ctx.N - 1] = np.nextafter(table[0, ctx.N - 1].real, np.inf) + 1j * table[0, ctx.N - 1].imag
-        assert Symbol(ctx, table).shell_profile() is None
+        nudged = Symbol(ctx, table)
+        assert nudged.shell_profile() is None
+        # a table radial only up to rounding is not radial: family S and radial_delta refuse it
+        with pytest.raises(ValueError, match="exactly radial"):
+            radial_delta(nudged, 1)
+        with pytest.raises(ValueError, match="exactly radial"):
+            seminorm(nudged, "S", m=0.0)
         assert random_symbol(ctx, gen).shell_profile() is None
 
 
 def test_radial_detection_rejects_generic_tables():
     ctx = TruncationContext(2, 3)
     sym = random_symbol(ctx, rng())
-    with pytest.raises(ValueError):
-        sym.radial_profile()
+    assert sym.shell_profile() is None
+    with pytest.raises(ValueError, match="exactly radial"):
+        radial_delta(sym, 1)
 
 
 def test_delta_plus_basics():
@@ -116,7 +123,7 @@ def test_radial_delta_examples():
     assert np.max(np.abs(radial_delta(const, 1).table)) == 0.0
     linear = Symbol.radial(ctx, np.arange(ctx.n + 1, dtype=float))
     d = radial_delta(linear, 1)
-    prof = d.radial_profile()
+    prof = d.shell_profile()
     # the shells beyond n - alpha, where the difference would look past the truncation, are zeroed
     assert np.all(prof[:, ctx.n :] == 0.0)
     assert np.max(np.abs(prof[:, 1 : ctx.n] - 1.0)) == 0.0
@@ -124,7 +131,7 @@ def test_radial_delta_examples():
     s = 1.0
     expo = np.power(float(ctx.p), np.arange(ctx.n + 1) * s)
     d = radial_delta(Symbol.radial(ctx, expo), 1)
-    prof = d.radial_profile()
+    prof = d.shell_profile()
     for j in range(1, ctx.n):
         assert prof[0, j] == pytest.approx(expo[j] * (ctx.p**s - 1.0))
     with pytest.raises(ValueError):
