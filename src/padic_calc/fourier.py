@@ -21,6 +21,7 @@ phases never drift.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -99,6 +100,13 @@ def _numbers(doc: dict, key: str) -> np.ndarray:
         arr = np.asarray(None)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"field {key!r} must be a rectangular array of numbers")
+    # numpy reads a JSON boolean mixed with numbers as 0 or 1; the array is
+    # rectangular here, so flattening arr.ndim levels reaches every entry
+    entries = [doc[key]]
+    for _ in range(arr.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if bool in set(map(type, entries)):
+        raise ValueError(f"field {key!r} holds a boolean, not a number")
     return arr
 
 

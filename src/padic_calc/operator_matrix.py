@@ -6,6 +6,14 @@ Frequency basis: the matrix acts on coefficient vectors of the dual
 group.  Conversion is conjugation by the transform pair and is exact up
 to rounding.
 
+A symbol and its sample-basis matrix meet on the shifted diagonals
+``A[x, x+k]``: row x of the symbol table is the synthesis transform in
+k of ``A[x, x+k]``.  ``symbol_table_to_matrix`` gathers the transformed
+rows back by ``x - y mod p^n``; ``matrix_to_symbol_table`` reads the
+diagonals as a strided view and transforms them, with no character
+table.  A symbol radial in xi needs no transform at all
+(``radial_profile_to_matrix``).
+
 Binary layout (documented interface): 8-byte magic ``PADICOP1``, uint32
 p, uint32 n, uint8 basis tag (0 = sample, 1 = frequency), all
 little-endian, followed by the row-major entries as interleaved
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .core import TruncationContext
 from .fourier import LevelFunction, SpectralFunction, dft_axis
@@ -170,15 +178,19 @@ def radial_profile_to_matrix(profile: np.ndarray, ctx: TruncationContext) -> np.
 
 
 def matrix_to_symbol_table(entries: np.ndarray, ctx: TruncationContext) -> np.ndarray:
-    """Symbol table of a sample-basis matrix: test against every character.
+    """Symbol table of a sample-basis matrix, read off its shifted diagonals.
 
-    ``sigma(x, u) = conj(chi(u x)) (A chi_u)(x)``, evaluated for all
-    columns at once through one batched synthesis transform.
+    ``sigma(x, u) = conj(chi(u x)) (A chi_u)(x) = sum_k A[x, x+k] chi(u k)``:
+    row x of ``D[x, k] = A[x, x+k]`` is a strided view of two copies of A
+    side by side (row stride one row plus one entry), and one batched
+    synthesis transform along k gives the table, with no character
+    lookup or product.
     """
-    applied = dft_axis(np.asarray(entries, dtype=np.complex128), ctx, +1, axis=1)
-    x = np.arange(ctx.N)
-    conj_char = ctx.roots[(-np.outer(x, x)) % ctx.N]
-    return applied * conj_char
+    if np.shape(entries) != (ctx.N, ctx.N):
+        raise ValueError(f"expected a {ctx.N}x{ctx.N} matrix, got {np.shape(entries)}")
+    twice = np.concatenate((entries, entries), axis=1, dtype=np.complex128)
+    D = as_strided(twice, shape=(ctx.N, ctx.N), strides=(sum(twice.strides), twice.strides[1]), writeable=False)
+    return dft_axis(D, ctx, +1, axis=1)
 
 
 def offset_shells(ctx: TruncationContext, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

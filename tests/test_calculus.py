@@ -17,8 +17,14 @@ from padic_calc.calculus import (
     symbol_of,
     transpose_symbol,
 )
-from padic_calc.fourier import LevelFunction, forward, inner_product
-from padic_calc.operator_matrix import OperatorMatrix, radial_profile_to_matrix, schur_sums, symbol_table_to_matrix
+from padic_calc.fourier import LevelFunction, dft_axis, forward, inner_product
+from padic_calc.operator_matrix import (
+    OperatorMatrix,
+    matrix_to_symbol_table,
+    radial_profile_to_matrix,
+    schur_sums,
+    symbol_table_to_matrix,
+)
 from padic_calc.spectral import variable_coefficient_generator
 from padic_calc.symbols import Symbol, vladimirov_symbol
 from padic_calc.vladimirov import VladimirovSpec, multiplier_table
@@ -125,6 +131,31 @@ def test_symbol_matrix_round_trips():
     assert np.max(np.abs(again.entries - A.entries)) < 1e-10
     ident = symbol_of(OperatorMatrix.identity(ctx))
     assert np.max(np.abs(ident.table - 1.0)) < 1e-11
+
+
+def character_symbol_table(entries, ctx):
+    """``conj(chi(u x)) (A chi_u)(x)`` by a character table: ``matrix_to_symbol_table``'s old route, kept as its oracle."""
+    applied = dft_axis(np.asarray(entries, dtype=np.complex128), ctx, +1, axis=1)
+    x = np.arange(ctx.N)
+    return applied * ctx.roots[(-np.outer(x, x)) % ctx.N]
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 6), (3, 4), (5, 3), (7, 2), (3, 0)])
+def test_matrix_to_symbol_table_matches_the_character_route(p, n):
+    ctx = TruncationContext(p, n)
+    gen = np.random.default_rng(p * 10 + n)
+    shape = (ctx.N, ctx.N)
+    radial = quantize(Symbol.radial(ctx, gen.normal(size=(ctx.N, n + 1)))).entries
+    assert not radial.imag.any()
+    for entries in (gen.normal(size=shape) + 1j * gen.normal(size=shape), radial.real):
+        want = character_symbol_table(entries, ctx)
+        assert np.max(np.abs(matrix_to_symbol_table(entries, ctx) - want)) <= 2e-15 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match="matrix"):
+        matrix_to_symbol_table(radial[:-1], ctx)
+    # quantize -> symbol_of round trip of a random complex table
+    table = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    back = symbol_of(quantize(Symbol(ctx, table))).table
+    assert np.max(np.abs(back - table)) <= 2e-15 * np.max(np.abs(table))
 
 
 def test_basis_conversion_round_trip():
@@ -440,13 +471,15 @@ def parametrix_schur_loop(sym, rep):
     return residual_norms, tail_norms, cut_block
 
 
-@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2)])
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2), (2, 8)])
 def test_parametrix_schur_norms_bit_identical_to_per_call_loop(p, n):
     ctx = TruncationContext(p, n)
     gen = np.random.default_rng(p * 10 + n)
     lam = multiplier_table(VladimirovSpec(1.1, p), ctx)
     sym = Symbol(ctx, lam[None, :] + 1.0 + 0.2 * gen.normal(size=ctx.N)[:, None])
     cases = [(1, (0, 1, 2, 3, 4)), (1, (0, 0.5, 3.7)), (n, (0, 1, 2, 3, 4))]
+    if (p, n) == (2, 8):  # the dense-calculus benchmark's own parametrix call
+        cases = [(1, (0, 1, 2))]
     for threshold, r_values in cases:
         rep = parametrix(sym, order=1.1, threshold=threshold, r_values=r_values)
         if threshold == n:

@@ -219,6 +219,12 @@ def test_json_loaders_reject_malformed_documents_naming_the_field(cls, kind, sha
         bad.append((json.dumps({**good, key: entries}), f"field '{key}'"))
         bad.append((json.dumps({**good, key: [None] * shape[0]}), f"field '{key}'"))
         bad.append((json.dumps({**good, key: [[1.0], [1.0, 2.0]]}), f"field '{key}'"))
+        # numpy reads a JSON boolean among numbers as 0 or 1, nested or not
+        for flag in (True, False):
+            for number in (2, 2.5):
+                row = [flag, number]
+                entries = row if len(shape) == 1 else [[number, number], row]
+                bad.append((json.dumps({**good, key: entries}), f"field '{key}' holds a boolean"))
     # a shorter im used to broadcast against re
     bad.append((json.dumps({**good, "im": np.zeros(shape)[:1].tolist()}), "'re' and 'im' differ in shape"))
     bad.append((json.dumps({**good, "im": 0.0}), "'re' and 'im' differ in shape"))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from padic_calc.core import ResourceCapError, TruncationContext
+from padic_calc.core import ConsistencyError, ResourceCapError, TruncationContext
 from padic_calc.calculus import NotEllipticError, quantize
 from padic_calc.fourier import LevelFunction, forward, l2_norm
 from padic_calc.operator_matrix import OperatorMatrix
@@ -217,6 +217,49 @@ def test_eigen_of_an_exactly_real_matrix_takes_the_real_solve(monkeypatch):
     entries[0, 1] += 1e-300j
     eigen(OperatorMatrix(ctx, entries))
     assert seen == [np.float64, np.complex128]
+
+
+def test_eigen_certifies_against_the_spectral_radius_without_an_svd():
+    ctx = TruncationContext(2, 6)
+    gen = rng()
+    terms = [(1.0 + gen.uniform(0.0, 1.0, ctx.N), 1.0), (1.5 + gen.uniform(0.0, 0.5, ctx.N), 0.5)]
+    A = quantize(variable_coefficient_generator(ctx, terms))
+    dec = eigen(A)
+    assert "operator_norm" not in vars(dec)
+    assert dec.max_residual <= EIGEN_RESIDUAL_TOL * np.max(np.abs(dec.values))
+    assert dec.operator_norm == pytest.approx(np.linalg.norm(A.entries, 2), rel=1e-12)
+    assert "operator_norm" in vars(dec)
+
+
+def old_eigen_certificate(entries, eig):
+    """Whether the residual test ``eigen`` ran before it read the spectral radius passes, kept as its oracle."""
+    w, V = eig(entries)
+    resid = np.linalg.norm(entries @ V - V * w[None, :], axis=0) / np.linalg.norm(V, axis=0)
+    return np.max(resid) <= EIGEN_RESIDUAL_TOL * np.linalg.norm(entries, 2)
+
+
+@pytest.mark.parametrize("d,passes", [(1e-12, True), (1e-6, False)])
+def test_eigen_falls_back_to_the_operator_norm_when_the_radius_cannot_decide(monkeypatch, d, passes):
+    # strongly non-normal: spectral radius 2e-6, ||A||_2 about 1; plain eig returns
+    # eigenpairs of this triangular matrix with residual exactly 0, so perturb them
+    entries = np.array([[1e-6, 1.0], [0.0, 2e-6]])
+    solve = np.linalg.eig
+
+    def perturbed(a):
+        w, V = solve(a)
+        return w, V + d * np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    monkeypatch.setattr(np.linalg, "eig", perturbed)
+    assert old_eigen_certificate(entries, perturbed) == passes
+    A = OperatorMatrix(TruncationContext(2, 1), entries)
+    if not passes:
+        with pytest.raises(ConsistencyError, match="eigen residual"):
+            eigen(A)
+        return
+    dec = eigen(A)
+    radius = np.max(np.abs(dec.values))
+    assert EIGEN_RESIDUAL_TOL * radius < dec.max_residual <= EIGEN_RESIDUAL_TOL * dec.operator_norm
+    assert "operator_norm" in vars(dec)  # the radius could not decide, so the SVD ran
 
 
 def test_counting_function_examples():
