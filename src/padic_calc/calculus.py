@@ -31,7 +31,6 @@ from .operator_matrix import (
     radial_profile_to_matrix,
     schur_sums,
     schur_sups,
-    schur_weighted,
     symbol_table_to_matrix,
 )
 from .symbols import Symbol
@@ -208,33 +207,32 @@ def parametrix(
         R.flat[:: ctx.N + 1] -= 1.0
 
     cutoffs = tuple(range(threshold, ctx.n))
-    # every block below is read from one |R| and one |R| <eta-xi>^r per r
+    # every block below is read from one |R| per side and one |R| <eta-xi>^r per side and r
     idx = np.arange(ctx.N)
-    shells = offset_shells(ctx, idx, idx)
+    shells = offset_shells(ctx)
     masks = [ctx.norms >= float(ctx.p) ** ell_cut for ell_cut in cutoffs]
     tails = [(mask, np.flatnonzero(mask)) for mask in masks]
     low = ~high
     low_idx = np.flatnonzero(low)
-    residual_norms = {}
-    tail_norms = {}
-    fitted = {}
-    cut_block = {}
-    for side, R in residuals.items():
-        magnitudes = np.abs(R)
-        residual_norms[side] = {}
-        grid = np.zeros((len(r_values), len(cutoffs)))
-        for ri, r in enumerate(r_values):
-            weighted = schur_weighted(magnitudes, shells, ctx, r)
+    magnitudes = {side: np.abs(R) for side, R in residuals.items()}
+    residual_norms = {side: {} for side in residuals}
+    tail_norms = {side: np.zeros((len(r_values), len(cutoffs))) for side in residuals}
+    for ri, r in enumerate(r_values):
+        # <eta-xi>^r, gathered once by the shell of the offset and shared by both residuals
+        weights = np.power(ctx.shell_weights, r)[shells]
+        for side, mags in magnitudes.items():
+            weighted = mags * weights
             residual_norms[side][r] = schur_sups(weighted, ctx, idx, idx)
             for ci, (mask, sel) in enumerate(tails):
-                grid[ri, ci] = max(schur_sups(_block(weighted, mask), ctx, sel, sel))
-        tail_norms[side] = grid
-        fitted[side] = {
-            r: _decay_order(cutoffs, grid[ri], ctx.p) if len(cutoffs) >= 2 else np.nan
-            for ri, r in enumerate(r_values)
+                tail_norms[side][ri, ci] = max(schur_sups(_block(weighted, mask), ctx, sel, sel))
+    fitted = {
+        side: {
+            r: _decay_order(cutoffs, grid[ri], ctx.p) if len(cutoffs) >= 2 else np.nan for ri, r in enumerate(r_values)
         }
-        # at r = 0 every weight is exactly 1, so the cut block is a block of |R| itself
-        cut_block[side] = max(schur_sups(_block(magnitudes, low), ctx, low_idx, low_idx))
+        for side, grid in tail_norms.items()
+    }
+    # at r = 0 every weight is exactly 1, so the cut block is a block of |R| itself
+    cut_block = {side: max(schur_sups(_block(mags, low), ctx, low_idx, low_idx)) for side, mags in magnitudes.items()}
     return ParametrixReport(
         tau=tau,
         threshold=threshold,

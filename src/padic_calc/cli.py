@@ -11,7 +11,16 @@ time and is the one artifact excluded from that guarantee.
 directory, then calls the experiment's runner as ``runner(cfg, ctx, rng,
 out)``: the config, the ``TruncationContext(p, n)``, the seeded generator
 and the output directory.  A runner validates its own ``params``, writes
-its artifacts into ``out`` and returns their paths.
+its artifacts into ``out`` and returns the writer's records.
+
+Every artifact and the manifest go through one writer, ``_write``: it
+encodes the text once, hashes those bytes for the manifest record
+``{name, bytes, sha256}`` and writes them over the file in place
+(``operator_matrix._write_in_place``: no ``O_TRUNC`` on open, one
+truncate at the end, which on ext4 spares a rerun into the same
+directory a writeback at every close).  ``run`` builds the manifest from
+those records, with no ``stat`` and no re-read.  Nothing is fsynced; a
+torn write shows up as a digest mismatch against the manifest.
 
 Exit codes: 0 success, 2 config error, 3 resource cap, 4 numeric failure.
 """
@@ -34,6 +43,7 @@ from .calculus import NotEllipticError, compose_symbols, parametrix, quantize
 from .core import ConsistencyError, ResourceCapError, TruncationContext, is_admissible_prime
 from .fourier import LevelFunction, dft, forward, inverse, l2_norm, spectral_l2_norm
 from .matrix_algebra import EllipticityMarginError, multiplier_equivalence, wiener_experiment
+from .operator_matrix import _write_in_place
 from .spectral import (
     counting_function,
     heat_evolve,
@@ -137,16 +147,19 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+def _write(path: Path, text: str) -> dict:
+    """Write ``text`` as UTF-8 over ``path`` in place; returns its manifest record."""
+    data = text.encode("utf-8")
+    _write_in_place(path, data)
+    return {"name": path.name, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def write_csv(path: Path, rows) -> dict:
+    return _write(path, "".join(",".join(fmt(v) for v in row) + "\n" for row in rows))
+
+
+def write_json(path: Path, obj) -> dict:
+    return _write(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 #: Largest p^n each experiment accepts; ``run`` checks it before it creates the
@@ -259,9 +272,10 @@ def _run_transform_bench(cfg, ctx, rng, out):
         gap = abs(spectral_l2_norm(F) - l2_norm(f))
         rows.append((t, err_fn, err_rt, gap))
     elapsed = time.perf_counter() - t0
-    write_csv(out / "transform_bench.csv", rows)
-    write_json(out / "transform_bench_timing.json", {"trials": trials, "wall_time_s": elapsed})
-    return [out / "transform_bench.csv", out / "transform_bench_timing.json"]
+    return [
+        write_csv(out / "transform_bench.csv", rows),
+        write_json(out / "transform_bench_timing.json", {"trials": trials, "wall_time_s": elapsed}),
+    ]
 
 
 def _run_vladimirov_eigen(cfg, ctx, rng, out):
@@ -283,22 +297,18 @@ def _run_vladimirov_eigen(cfg, ctx, rng, out):
     diffs = {tag: float(np.max(d)) for tag, d in diff.items()}
     matches = [tag for tag, d in diffs.items() if d < 1e-9]
     offsets = [val - nrm**s for nrm, val in zip(norms[1:], li.tolist()[1:])]
-    write_csv(out / "vladimirov_eigen.csv", rows)
-    write_json(
-        out / "vladimirov_eigen.json",
-        {
-            "s": s,
-            "matched_convention": matches[0] if matches else "neither",
-            "max_abs_diff": diffs,
-            "empirical_offset": {
-                "fitted": float(np.mean(offsets)),
-                "spread": float(np.ptp(offsets)),
-                "negated_additive_constant": -spec.additive_constant,
-            },
-            "max_level_shift": float(np.max(shift)),
+    summary = {
+        "s": s,
+        "matched_convention": matches[0] if matches else "neither",
+        "max_abs_diff": diffs,
+        "empirical_offset": {
+            "fitted": float(np.mean(offsets)),
+            "spread": float(np.ptp(offsets)),
+            "negated_additive_constant": -spec.additive_constant,
         },
-    )
-    return [out / "vladimirov_eigen.csv", out / "vladimirov_eigen.json"]
+        "max_level_shift": float(np.max(shift)),
+    }
+    return [write_csv(out / "vladimirov_eigen.csv", rows), write_json(out / "vladimirov_eigen.json", summary)]
 
 
 def _run_seminorm_sweep(cfg, ctx, rng, out):
@@ -311,9 +321,7 @@ def _run_seminorm_sweep(cfg, ctx, rng, out):
     beta_max = _exponent("beta_max", 2, cfg)
     profile = shell_eigenvalues(VladimirovSpec(s, cfg.p), ctx)
     rep = multiplier_seminorm(profile, ctx, family, m=m, rho=rho, delta=delta, alpha_max=alpha_max, beta_max=beta_max)
-    write_csv(out / "seminorm.csv", rep.to_csv_rows())
-    (out / "seminorm.json").write_text(rep.to_json() + "\n", encoding="utf-8")
-    return [out / "seminorm.csv", out / "seminorm.json"]
+    return [write_csv(out / "seminorm.csv", rep.to_csv_rows()), _write(out / "seminorm.json", rep.to_json() + "\n")]
 
 
 def _run_compose_check(cfg, ctx, rng, out):
@@ -326,8 +334,7 @@ def _run_compose_check(cfg, ctx, rng, out):
         left = quantize(compose_symbols(s1, s2)).entries
         right = quantize(s1).entries @ quantize(s2).entries
         worst = max(worst, float(np.max(np.abs(left - right))))
-    write_json(out / "compose_check.json", {"trials": trials, "max_error": worst})
-    return [out / "compose_check.json"]
+    return [write_json(out / "compose_check.json", {"trials": trials, "max_error": worst})]
 
 
 def _run_schur_sweep(cfg, ctx, rng, out):
@@ -339,9 +346,7 @@ def _run_schur_sweep(cfg, ctx, rng, out):
     rows = [("r", "m", "row_sup", "col_sup", "norm", "growth_ratio")]
     for sr in rep.schur:
         rows.append((sr.r, sr.m, sr.row_sup, sr.col_sup, sr.norm, sr.growth_ratio))
-    write_csv(out / "schur_sweep.csv", rows)
-    (out / "equivalence.json").write_text(rep.to_json() + "\n", encoding="utf-8")
-    return [out / "schur_sweep.csv", out / "equivalence.json"]
+    return [write_csv(out / "schur_sweep.csv", rows), _write(out / "equivalence.json", rep.to_json() + "\n")]
 
 
 def _smooth_bump(ctx, rng, decay: float, scale: float) -> np.ndarray:
@@ -376,21 +381,15 @@ def _perturbed_vladimirov(cfg, ctx, rng, decay: float):
 def _run_wiener(cfg, ctx, rng, out):
     s, threshold, scale, sym = _perturbed_vladimirov(cfg, ctx, rng, decay=6.0)
     rep = wiener_experiment(sym, order=s, threshold=threshold)
-    write_csv(out / "wiener.csv", rep.to_csv_rows())
-    write_json(
-        out / "wiener.json",
-        {
-            "order": s,
-            "threshold": threshold,
-            "perturbation_scale": scale,
-            "jr_constants": {str(r): v for r, v in rep.jr_constants.items()},
-            "max_recon_error": max(c.recon_error for c in rep.columns),
-            "max_ratio_excess": max(
-                (c.measured_ratio - c.ratio_bound) / max(c.ratio_bound, 1e-12) for c in rep.columns
-            ),
-        },
-    )
-    return [out / "wiener.csv", out / "wiener.json"]
+    summary = {
+        "order": s,
+        "threshold": threshold,
+        "perturbation_scale": scale,
+        "jr_constants": {str(r): v for r, v in rep.jr_constants.items()},
+        "max_recon_error": max(c.recon_error for c in rep.columns),
+        "max_ratio_excess": max((c.measured_ratio - c.ratio_bound) / max(c.ratio_bound, 1e-12) for c in rep.columns),
+    }
+    return [write_csv(out / "wiener.csv", rep.to_csv_rows()), write_json(out / "wiener.json", summary)]
 
 
 def _run_parametrix(cfg, ctx, rng, out):
@@ -401,9 +400,7 @@ def _run_parametrix(cfg, ctx, rng, out):
         for ri, r in enumerate(rep.r_values):
             for ci, cut in enumerate(rep.tail_cutoffs):
                 rows.append((side, r, cut, rep.tail_norms[side][ri, ci]))
-    write_csv(out / "parametrix_tails.csv", rows)
-    (out / "parametrix.json").write_text(rep.to_json() + "\n", encoding="utf-8")
-    return [out / "parametrix_tails.csv", out / "parametrix.json"]
+    return [write_csv(out / "parametrix_tails.csv", rows), _write(out / "parametrix.json", rep.to_json() + "\n")]
 
 
 def _run_sobolev_bound(cfg, ctx, rng, out):
@@ -425,8 +422,7 @@ def _run_sobolev_bound(cfg, ctx, rng, out):
             v1 = op_norm_sobolev_multiplier(lam, ctx, t, s)
             v2 = op_norm_sobolev_multiplier(lam_fine, fine, t, s)
             rows.append((s, t, v1, v2, abs(v1 - v2) / max(v2, 1e-300)))
-    write_csv(out / "sobolev_bound.csv", rows)
-    return [out / "sobolev_bound.csv"]
+    return [write_csv(out / "sobolev_bound.csv", rows)]
 
 
 def _run_weyl_count(cfg, ctx, rng, out):
@@ -440,16 +436,13 @@ def _run_weyl_count(cfg, ctx, rng, out):
         mods = np.unique(np.abs(lam))
         mods = mods[mods > 0]
         rows = [("t", "count")] + [(t, counting_function(lam, t)) for t in mods]
-        path = out / f"weyl_counts_s{fmt(s)}.csv"
-        write_csv(path, rows)
-        artifacts.append(path)
+        artifacts.append(write_csv(out / f"weyl_counts_s{fmt(s)}.csv", rows))
         try:
             fit = weyl_slope_fit(lam, t_min=float(cfg.p) ** s, t_max=float(cfg.p) ** ((cfg.n - 1) * s))
         except ValueError as exc:
             raise ConfigError(f"level n={cfg.n} is too small for the slope fit: {exc}") from exc
         fits[fmt(s)] = asdict(fit)
-    write_json(out / "weyl_fits.json", {"formula": formula, "fits": fits})
-    artifacts.append(out / "weyl_fits.json")
+    artifacts.append(write_json(out / "weyl_fits.json", {"formula": formula, "fits": fits}))
     return artifacts
 
 
@@ -467,27 +460,23 @@ def _run_heat(cfg, ctx, rng, out):
     terms = [(lower + rng.uniform(0.0, 1.0, size=ctx.N), s) for s in orders_s]
     gen_sym = variable_coefficient_generator(ctx, terms)
     traj = heat_evolve(gen_sym, f0, times, sobolev_orders)
-    write_csv(out / "heat.csv", traj.to_csv_rows())
-    artifacts = [out / "heat.csv", out / "heat.json"]
+    mags = traj.mode_magnitudes
+    monotone = bool(np.all(mags[1:] <= mags[:-1] + 1e-12 * np.max(mags[0]))) if len(times) > 1 else True
+    summary = {
+        "path": traj.path,
+        "orders_s": orders_s,
+        "times": times,
+        "modal_monotone": monotone,
+        "max_norm": float(np.max(traj.norms)),
+        "all_finite": bool(np.all(np.isfinite(traj.norms))),
+    }
+    # listed as heat.csv, heat.json, eigenvalues.csv
+    artifacts = [write_csv(out / "heat.csv", traj.to_csv_rows()), write_json(out / "heat.json", summary)]
     if traj.eigenvalues is not None:
         rows = [("index", "re", "im", "modulus")]
         for i, lam in enumerate(traj.eigenvalues):
             rows.append((i, lam.real, lam.imag, abs(lam)))
-        write_csv(out / "eigenvalues.csv", rows)
-        artifacts.append(out / "eigenvalues.csv")
-    mags = traj.mode_magnitudes
-    monotone = bool(np.all(mags[1:] <= mags[:-1] + 1e-12 * np.max(mags[0]))) if len(times) > 1 else True
-    write_json(
-        out / "heat.json",
-        {
-            "path": traj.path,
-            "orders_s": orders_s,
-            "times": times,
-            "modal_monotone": monotone,
-            "max_norm": float(np.max(traj.norms)),
-            "all_finite": bool(np.all(np.isfinite(traj.norms))),
-        },
-    )
+        artifacts.append(write_csv(out / "eigenvalues.csv", rows))
     return artifacts
 
 
@@ -526,14 +515,7 @@ def run(cfg: ExperimentConfig) -> Path:
         "numpy_version": np.__version__,
         "python_version": sys.version.split()[0],
         "wall_time_s": wall,
-        "artifacts": [
-            {
-                "name": p.name,
-                "bytes": p.stat().st_size,
-                "sha256": hashlib.sha256(p.read_bytes()).hexdigest(),
-            }
-            for p in artifacts
-        ],
+        "artifacts": artifacts,
     }
     manifest_path = out / "manifest.json"
     write_json(manifest_path, manifest)

@@ -1,5 +1,8 @@
 """Quantization round trips, exact composition, adjoints, parametrices."""
 
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from padic_calc.fourier import LevelFunction, dft_axis, forward, inner_product
 from padic_calc.operator_matrix import (
     OperatorMatrix,
     matrix_to_symbol_table,
+    offset_shells,
     radial_profile_to_matrix,
     schur_sums,
     symbol_table_to_matrix,
@@ -180,6 +184,58 @@ def test_binary_round_trip(tmp_path):
     B = OperatorMatrix.load_binary(path)
     assert B.basis == "frequency" and B.ctx == ctx
     assert np.max(np.abs(B.entries - A.entries)) == 0.0
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 1)])
+@pytest.mark.parametrize("basis", ["sample", "frequency"])
+def test_binary_layout_is_header_then_interleaved_little_endian_pairs(tmp_path, p, n, basis):
+    ctx = TruncationContext(p, n)
+    gen = np.random.default_rng(p + n)
+    entries = gen.normal(size=(ctx.N, ctx.N)) + 1j * gen.normal(size=(ctx.N, ctx.N))
+    expected = b"PADICOP1" + struct.pack("<IIB", p, n, {"sample": 0, "frequency": 1}[basis])
+    for z in entries.ravel().tolist():
+        expected += struct.pack("<dd", z.real, z.imag)
+    path = tmp_path / "op.bin"
+    OperatorMatrix(ctx, entries, basis).save_binary(path)
+    assert path.read_bytes() == expected
+    # a transposed (non-C-contiguous) matrix is still written row by row
+    OperatorMatrix(ctx, entries.T, basis).save_binary(path)
+    assert path.read_bytes()[17:] == b"".join(struct.pack("<dd", z.real, z.imag) for z in entries.T.ravel().tolist())
+
+
+def test_binary_round_trip_keeps_signed_zeros_infinities_and_nan(tmp_path):
+    ctx = TruncationContext(2, 2)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5]
+    entries = np.array([complex(a, b) for a in specials for b in specials][:16]).reshape(4, 4)
+    entries[3] = [complex(-0.0, 1.0), complex(1.0, np.inf), complex(-0.0, -0.0), complex(np.nan, -np.inf)]
+    first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        OperatorMatrix(ctx, entries, "frequency").save_binary(first)
+        loaded = OperatorMatrix.load_binary(first)
+        loaded.save_binary(second)
+    assert second.read_bytes() == first.read_bytes()
+    assert loaded.basis == "frequency" and loaded.entries.flags.writeable
+    got, want = loaded.entries.view(np.float64), entries.view(np.float64)
+    assert np.array_equal(np.signbit(got), np.signbit(want)) and np.array_equal(got, want, equal_nan=True)
+
+
+def test_binary_save_over_a_longer_file_cuts_its_tail(tmp_path):
+    path = tmp_path / "op.bin"
+    OperatorMatrix.identity(TruncationContext(2, 3)).save_binary(path)
+    OperatorMatrix.identity(TruncationContext(2, 1)).save_binary(path)
+    assert len(path.read_bytes()) == 17 + 16 * 4
+    assert np.array_equal(OperatorMatrix.load_binary(path).entries, np.eye(2))
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 6), (3, 4), (5, 3), (7, 2), (3, 0)])
+def test_full_range_offset_shells_is_a_read_only_view_equal_to_the_index_table(p, n):
+    ctx = TruncationContext(p, n)
+    idx = np.arange(ctx.N)
+    view = offset_shells(ctx)
+    assert np.array_equal(view, offset_shells(ctx, idx, idx))
+    assert np.array_equal(view, ctx.shells[(idx[:, None] - idx[None, :]) % ctx.N])
+    assert not view.flags.writeable and view.base is not None
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """CLI contract: config validation, exit codes, determinism, artifacts."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -355,6 +356,27 @@ def test_every_experiment_reproduces_its_artifacts(tmp_path, capsys, experiment)
     assert compared  # every experiment writes at least one numeric artifact
     for name in compared:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL_N))
+def test_rerun_over_longer_stale_files_matches_a_fresh_run(tmp_path, capsys, experiment):
+    doc = {"experiment": experiment, "p": 2, "n": SMALL_N[experiment], "seed": 13}
+    fresh, dirty = tmp_path / "fresh", tmp_path / "dirty"
+    assert main(["run", "--config", str(write_config(tmp_path, {**doc, "output_dir": str(fresh)}, "a.json"))]) == EXIT_OK
+    dirty.mkdir()
+    for path in fresh.iterdir():  # every artifact name and manifest.json, each longer than what is written
+        (dirty / path.name).write_bytes(b"stale," * (path.stat().st_size + 1000))
+    assert main(["run", "--config", str(write_config(tmp_path, {**doc, "output_dir": str(dirty)}, "b.json"))]) == EXIT_OK
+    capsys.readouterr()
+    assert sorted(p.name for p in dirty.iterdir()) == sorted(p.name for p in fresh.iterdir())
+    for path in fresh.iterdir():
+        if path.name not in ("manifest.json", "transform_bench_timing.json"):
+            assert (dirty / path.name).read_bytes() == path.read_bytes(), path.name
+    manifest = json.loads((dirty / "manifest.json").read_text(encoding="utf-8"))
+    assert len(manifest["artifacts"]) == len(list(dirty.iterdir())) - 1
+    for entry in manifest["artifacts"]:
+        data = (dirty / entry["name"]).read_bytes()
+        assert entry["bytes"] == len(data) and entry["sha256"] == hashlib.sha256(data).hexdigest(), entry["name"]
 
 
 def test_sobolev_bound_matches_dense_route(tmp_path, capsys):
