@@ -136,8 +136,8 @@ def _write_in_place(path, *chunks) -> None:
     rename over it: on a 2-vCPU host, rewriting a 2 KB file took about
     100 us that way, 80 us through a rename and 15 us in place.  Writing
     in place keeps the inode, so a symlinked or hard-linked output stays
-    linked.  Nothing is fsynced; a torn write
-    shows up as a digest mismatch against the manifest that lists it.
+    linked.  Nothing is fsynced; a torn write shows up as a digest
+    mismatch against the manifest that lists it.
     """
     with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         for chunk in chunks:
