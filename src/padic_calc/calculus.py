@@ -8,9 +8,9 @@ truncation error and quantize/symbol_of invert each other on the nose
 eta-sum composition formula and the series formulas of the calculus are
 checked against them as theorems in the test-suite, not used as
 definitions.  The transforms behind quantize/symbol_of are numpy's FFT;
-``quantize`` gathers its shifted diagonals by integer index arithmetic
-mod p^n, and ``symbol_of`` reads them as a strided view of the matrix,
-with no character table.
+``quantize`` gathers its shifted diagonals along ``x - y`` through
+``core.offset_view``, and ``symbol_of`` reads them as a strided view of
+the matrix, with no index or character table.
 A symbol radial in xi skips the transform: ``quantize`` gathers its
 matrix from the (N, n+1) shell profile by the valuation of ``x - y``,
 exactly real for a real profile, and the product of two exactly real
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import offset_view
 from .operator_matrix import (
     OperatorMatrix,
     matrix_to_symbol_table,
-    offset_shells,
     radial_profile_to_matrix,
     schur_sums,
     schur_sups,
@@ -85,14 +85,6 @@ def adjoint_symbol(sym: Symbol) -> Symbol:
 def transpose_symbol(sym: Symbol) -> Symbol:
     """Symbol of the bilinear transpose (no conjugation), via the matrix."""
     return symbol_of(quantize(sym).transpose())
-
-
-def kernel_table(sym: Symbol) -> np.ndarray:
-    """Integral kernel ``K(x, y) = sum_xi sigma(x, xi) chi(xi (x-y))``.
-
-    The operator acts as ``T f(x) = p^-n sum_y K(x, y) f(y)``.
-    """
-    return symbol_table_to_matrix(sym.table, sym.ctx) * sym.ctx.N
 
 
 @dataclass
@@ -209,7 +201,6 @@ def parametrix(
     cutoffs = tuple(range(threshold, ctx.n))
     # every block below is read from one |R| per side and one |R| <eta-xi>^r per side and r
     idx = np.arange(ctx.N)
-    shells = offset_shells(ctx)
     masks = [ctx.norms >= float(ctx.p) ** ell_cut for ell_cut in cutoffs]
     tails = [(mask, np.flatnonzero(mask)) for mask in masks]
     low = ~high
@@ -218,8 +209,8 @@ def parametrix(
     residual_norms = {side: {} for side in residuals}
     tail_norms = {side: np.zeros((len(r_values), len(cutoffs))) for side in residuals}
     for ri, r in enumerate(r_values):
-        # <eta-xi>^r, gathered once by the shell of the offset and shared by both residuals
-        weights = np.power(ctx.shell_weights, r)[shells]
+        # <eta-xi>^r as a view of the N weights, shared by both residuals
+        weights = offset_view(np.power(ctx.weights, r))
         for side, mags in magnitudes.items():
             weighted = mags * weights
             residual_norms[side][r] = schur_sups(weighted, ctx, idx, idx)

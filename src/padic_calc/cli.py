@@ -134,7 +134,7 @@ class ExperimentConfig:
         )
 
 
-def fmt(x) -> str:
+def _fmt(x) -> str:
     """17-significant-digit rendering for reproducible tables."""
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x))
@@ -155,7 +155,7 @@ def _write(path: Path, text: str) -> dict:
 
 
 def write_csv(path: Path, rows) -> dict:
-    return _write(path, "".join(",".join(fmt(v) for v in row) + "\n" for row in rows))
+    return _write(path, "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows))
 
 
 def write_json(path: Path, obj) -> dict:
@@ -436,12 +436,12 @@ def _run_weyl_count(cfg, ctx, rng, out):
         mods = np.unique(np.abs(lam))
         mods = mods[mods > 0]
         rows = [("t", "count")] + [(t, counting_function(lam, t)) for t in mods]
-        artifacts.append(write_csv(out / f"weyl_counts_s{fmt(s)}.csv", rows))
+        artifacts.append(write_csv(out / f"weyl_counts_s{_fmt(s)}.csv", rows))
         try:
             fit = weyl_slope_fit(lam, t_min=float(cfg.p) ** s, t_max=float(cfg.p) ** ((cfg.n - 1) * s))
         except ValueError as exc:
             raise ConfigError(f"level n={cfg.n} is too small for the slope fit: {exc}") from exc
-        fits[fmt(s)] = asdict(fit)
+        fits[_fmt(s)] = asdict(fit)
     artifacts.append(write_json(out / "weyl_fits.json", {"formula": formula, "fits": fits}))
     return artifacts
 

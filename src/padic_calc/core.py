@@ -10,9 +10,16 @@ valuation shells, so each is computed once per shell (``shell_norms``,
 ``shell_weights``, O(n)) and the N-entry ``norms`` and ``weights`` are
 gathers of those by ``shells``.  Character values are looked up in a
 single precomputed root-of-unity table after reducing the phase ``u x``
-as an integer mod ``p^n``, so the characters, the character tables, the
-naive transform oracle and the shifted-diagonal gathers carry no phase
-drift.  The fast transform is numpy's FFT (see
+as an integer mod ``p^n``, so the characters and the naive transform
+oracle carry no phase drift.
+
+Every table indexed by a group difference ``(x - y) mod p^n`` (the
+kernel of D^s, a symbol's matrix ``A[x, y] = B[x, x - y]``, the
+associated matrix ``sighat(eta - xi, xi)``, the weights
+``<eta - xi>^r``) is read through :func:`offset_view`, a read-only
+strided view of two copies of an N-vector, with no N x N index table.
+
+The fast transform is numpy's FFT (see
 :mod:`padic_calc.fourier`), which uses its own twiddle factors.
 """
 
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 #: Marker returned by :func:`valuation` for the zero residue.
 INFINITE_ORDER = math.inf
@@ -134,10 +142,23 @@ class TruncationContext:
         idx = (int(u) * np.arange(self.N, dtype=np.int64)) % self.N
         return self.roots[idx]
 
-    def character_matrix(self) -> np.ndarray:
-        """Full ``chi(u x)`` table, rows x, columns u; O(N^2) memory."""
-        x = np.arange(self.N, dtype=np.int64)
-        return self.roots[np.outer(x, x) % self.N]
+
+def offset_view(v: np.ndarray) -> np.ndarray:
+    """Read-only N x N view ``V[x, y] = v[(x - y) mod N]`` of an N-vector ``v``.
+
+    Row x is ``v`` rolled by x, read from two copies of ``v`` side by side,
+    so the view costs 2N entries and no index table.  Gathering through
+    ``offset_view(np.arange(N))`` reads any table along ``x - y``.
+
+    Examples
+    --------
+    >>> offset_view(np.arange(3))
+    array([[0, 2, 1],
+           [1, 0, 2],
+           [2, 1, 0]])
+    """
+    N = len(v)
+    return sliding_window_view(np.concatenate((v, v)), N)[1 : N + 1, ::-1]
 
 
 @dataclass(frozen=True)

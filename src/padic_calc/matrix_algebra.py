@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import adjoint_symbol, ellipticity_report
-from .core import TruncationContext
+from .core import TruncationContext, offset_view
 from .fourier import dft_axis
 from .operator_matrix import OperatorMatrix, schur_sums
 from .symbols import Symbol, SeminormReport, _ratio, _sub_shells, multiplier_seminorm, seminorm
@@ -65,9 +65,7 @@ def associated_matrix(sym: Symbol) -> OperatorMatrix:
     """Frequency-basis matrix with entries sighat(eta - xi, xi)."""
     ctx = sym.ctx
     sighat = dft_axis(sym.table, ctx, -1, axis=0) / ctx.N
-    rows = np.arange(ctx.N)
-    offs = (rows[:, None] - rows[None, :]) % ctx.N
-    entries = np.take_along_axis(sighat, offs, axis=0)
+    entries = np.take_along_axis(sighat, offset_view(np.arange(ctx.N)), axis=0)
     return OperatorMatrix(ctx, entries, "frequency")
 
 

@@ -9,10 +9,10 @@ to rounding.
 A symbol and its sample-basis matrix meet on the shifted diagonals
 ``A[x, x+k]``: row x of the symbol table is the synthesis transform in
 k of ``A[x, x+k]``.  ``symbol_table_to_matrix`` gathers the transformed
-rows back by ``x - y mod p^n``; ``matrix_to_symbol_table`` reads the
-diagonals as a strided view and transforms them, with no character
-table.  A symbol radial in xi needs no transform at all
-(``radial_profile_to_matrix``).
+rows back along ``x - y`` through ``core.offset_view``, with no index
+table; ``matrix_to_symbol_table`` reads the diagonals as a strided view
+and transforms them, with no gather and no character table.  A symbol
+radial in xi needs no transform at all (``radial_profile_to_matrix``).
 
 Binary layout (documented interface): 8-byte magic ``PADICOP1``, uint32
 p, uint32 n, uint8 basis tag (0 = sample, 1 = frequency), all
@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
-from .core import TruncationContext
+from .core import TruncationContext, offset_view
 from .fourier import LevelFunction, SpectralFunction, dft_axis
 
 _MAGIC = b"PADICOP1"
@@ -161,9 +161,7 @@ def symbol_table_to_matrix(table: np.ndarray, ctx: TruncationContext) -> np.ndar
     row and gather it along the shifted diagonal.
     """
     B = dft_axis(np.asarray(table, dtype=np.complex128), ctx, +1, axis=1)
-    x = np.arange(ctx.N)
-    idx = (x[:, None] - x[None, :]) % ctx.N
-    return np.take_along_axis(B, idx, axis=1) / ctx.N
+    return np.take_along_axis(B, offset_view(np.arange(ctx.N)), axis=1) / ctx.N
 
 
 def radial_profile_to_matrix(profile: np.ndarray, ctx: TruncationContext) -> np.ndarray:
@@ -187,11 +185,8 @@ def radial_profile_to_matrix(profile: np.ndarray, ctx: TruncationContext) -> np.
     G = np.cumsum(P * sizes, axis=1)
     G[:, :n] -= P[:, 1:] * powers[:n]
     G /= N
-    # v(x - y) = v(y - x), so row x of the offset valuations is ``valuations``
-    # rolled by x: a strided view of two copies, with no N^2 index arithmetic
-    ring = np.concatenate((ctx.valuations, ctx.valuations))
-    rolled = sliding_window_view(ring, N)[N:0:-1]
-    return G.ravel()[rolled + (n + 1) * np.arange(N)[:, None]]
+    # one flat gather of G[x, v(x - y)]; take_along_axis on G is slower
+    return G.ravel()[offset_view(ctx.valuations) + (n + 1) * np.arange(N)[:, None]]
 
 
 def matrix_to_symbol_table(entries: np.ndarray, ctx: TruncationContext) -> np.ndarray:
@@ -208,19 +203,6 @@ def matrix_to_symbol_table(entries: np.ndarray, ctx: TruncationContext) -> np.nd
     twice = np.concatenate((entries, entries), axis=1, dtype=np.complex128)
     D = as_strided(twice, shape=(ctx.N, ctx.N), strides=(sum(twice.strides), twice.strides[1]), writeable=False)
     return dft_axis(D, ctx, +1, axis=1)
-
-
-def offset_shells(ctx: TruncationContext, rows: np.ndarray | None = None, cols: np.ndarray | None = None) -> np.ndarray:
-    """Shell of the dual offset ``eta - xi`` for every row ``eta`` and column ``xi``.
-
-    With no ``rows`` and ``cols`` (the full range) this is a read-only
-    strided view of two copies of ``ctx.shells``: ``|xi - eta| = |eta - xi|``,
-    so row eta is ``shells`` rolled by eta, as in ``radial_profile_to_matrix``.
-    """
-    if rows is None and cols is None:
-        ring = np.concatenate((ctx.shells, ctx.shells))
-        return sliding_window_view(ring, ctx.N)[ctx.N : 0 : -1]
-    return ctx.shells[(rows[:, None] - cols[None, :]) % ctx.N]
 
 
 def schur_sups(
@@ -249,14 +231,16 @@ def schur_sums(
               sup_eta <eta>^-m sum_xi |M| <eta-xi>^r)`` where the offset
     eta - xi is taken in the dual group.  ``row_idx`` / ``col_idx``
     restrict both the matrix and the index bookkeeping to a sub-block.
-    The weight takes one value per shell, so its n+1 powers are taken on
-    ``ctx.shell_weights`` and gathered by the ``offset_shells``.  A caller
-    that sums many blocks or exponents of one matrix forms ``|M| <eta-xi>^r``
-    once per r and reads its blocks with ``schur_sups``.
+    The weight ``<eta-xi>^r`` is ``core.offset_view`` of ``<.>^r``, read as
+    is on the full range and gathered on a sub-block.  A caller that sums
+    many blocks or exponents of one matrix forms ``|M| <eta-xi>^r`` once
+    per r and reads its blocks with ``schur_sups``.
     """
     entries = np.asarray(entries)
     rows = np.arange(ctx.N) if row_idx is None else np.asarray(row_idx)
     cols = np.arange(ctx.N) if col_idx is None else np.asarray(col_idx)
-    shells = offset_shells(ctx) if row_idx is None and col_idx is None else offset_shells(ctx, rows, cols)
-    weighted = np.abs(entries[np.ix_(rows, cols)]) * np.power(ctx.shell_weights, r)[shells]
+    weights = offset_view(np.power(ctx.weights, r))
+    if row_idx is not None or col_idx is not None:
+        weights = weights[np.ix_(rows, cols)]
+    weighted = np.abs(entries[np.ix_(rows, cols)]) * weights
     return schur_sups(weighted, ctx, rows, cols, m)

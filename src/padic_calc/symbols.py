@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Frequency, ResourceCapError, TruncationContext
+from .core import Frequency, ResourceCapError, TruncationContext, offset_view
 from .fourier import _from_json, _to_json, dft_axis
 from .operator_matrix import OperatorMatrix, matrix_to_symbol_table
 from .vladimirov import VladimirovSpec, multiplier_table
@@ -222,8 +222,7 @@ def partial_x_h(sym: Symbol, h: int) -> Symbol:
     ctx = sym.ctx
     N = ctx.N
     sighat = dft_axis(sym.table, ctx, -1, axis=0) / N
-    idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    factor = (ctx.norms[idx] - ctx.norms[None, :]) ** h
+    factor = (offset_view(ctx.norms) - ctx.norms[None, :]) ** h
     return Symbol(ctx, dft_axis(factor * sighat, ctx, +1, axis=0))
 
 
@@ -459,9 +458,7 @@ def amplitude_to_operator(a: Amplitude, cap: int = AMPLITUDE_CAP) -> OperatorMat
     if ctx.N**3 > cap:
         raise ResourceCapError(f"amplitude work p^(3n) = {ctx.N**3} exceeds cap {cap}")
     B = dft_axis(a.tensor, ctx, +1, axis=2)
-    x = np.arange(ctx.N)
-    idx = (x[:, None] - x[None, :]) % ctx.N
-    entries = np.take_along_axis(B, idx[:, :, None], axis=2)[:, :, 0] / ctx.N
+    entries = np.take_along_axis(B, offset_view(np.arange(ctx.N))[:, :, None], axis=2)[:, :, 0] / ctx.N
     return OperatorMatrix(ctx, entries, "sample")
 
 

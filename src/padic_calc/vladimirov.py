@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConsistencyError, Frequency, TruncationContext, is_admissible_prime
+from .core import ConsistencyError, Frequency, TruncationContext, is_admissible_prime, offset_view
 from .fourier import LevelFunction, SpectralFunction
 
 FORMULA_TAGS = ("integral", "plus_constant", "scaled_constant")
@@ -90,11 +90,10 @@ def apply_integral(spec: VladimirovSpec, f: LevelFunction) -> LevelFunction:
     """
     ctx = f.ctx
     K = kernel_vector(spec, ctx)
-    idx = (np.arange(ctx.N)[:, None] - np.arange(ctx.N)[None, :]) % ctx.N
     # difference before summing: a constant f gives exactly 0, with no
     # cancellation between sum_y K and sum_y K f[y]
     terms = f.values[:, None] - f.values[None, :]
-    terms *= K[idx]  # in place: one N x N complex array, not two
+    terms *= offset_view(K)  # K(x - y) as a view: the only N x N array is terms
     return LevelFunction(ctx, terms.sum(axis=1) / spec.norm_scale)
 
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from padic_calc.core import TruncationContext
+from padic_calc.core import TruncationContext, offset_view
 from padic_calc.calculus import (
     NotEllipticError,
     _decay_order,
@@ -14,7 +14,6 @@ from padic_calc.calculus import (
     analytic_calculus,
     compose_symbols,
     ellipticity_report,
-    kernel_table,
     parametrix,
     quantize,
     symbol_of,
@@ -24,7 +23,6 @@ from padic_calc.fourier import LevelFunction, dft_axis, forward, inner_product
 from padic_calc.operator_matrix import (
     OperatorMatrix,
     matrix_to_symbol_table,
-    offset_shells,
     radial_profile_to_matrix,
     schur_sums,
     symbol_table_to_matrix,
@@ -44,6 +42,21 @@ def random_symbol(ctx, gen):
 
 def random_function(ctx, gen):
     return LevelFunction(ctx, gen.normal(size=ctx.N) + 1j * gen.normal(size=ctx.N))
+
+
+def character_matrix(ctx):
+    """Full ``chi(u x)`` table, rows x, columns u, from the exact root-of-unity table; O(N^2) memory."""
+    x = np.arange(ctx.N, dtype=np.int64)
+    return ctx.roots[np.outer(x, x) % ctx.N]
+
+
+def kernel_table(sym):
+    """Integral kernel ``K(x, y) = sum_xi sigma(x, xi) chi(xi (x-y))`` by the character table, with no transform.
+
+    The operator acts as ``T f(x) = p^-n sum_y K(x, y) f(y)``.
+    """
+    chars = character_matrix(sym.ctx)
+    return (sym.table * chars) @ chars.conj().T
 
 
 def test_quantize_trivial_cases():
@@ -66,7 +79,7 @@ def test_quantize_agrees_with_spectral_formula():
     gen = rng()
     sym = random_symbol(ctx, gen)
     f = random_function(ctx, gen)
-    spectral = np.sum(sym.table * forward(f).coeffs[None, :] * ctx.character_matrix(), axis=1)
+    spectral = np.sum(sym.table * forward(f).coeffs[None, :] * character_matrix(ctx), axis=1)
     applied = quantize(sym).apply(f).values
     assert np.max(np.abs(applied - spectral)) < 1e-11 * max(1.0, np.max(np.abs(spectral)))
 
@@ -229,13 +242,23 @@ def test_binary_save_over_a_longer_file_cuts_its_tail(tmp_path):
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 6), (3, 4), (5, 3), (7, 2), (3, 0)])
-def test_full_range_offset_shells_is_a_read_only_view_equal_to_the_index_table(p, n):
+def test_offset_view_is_a_read_only_view_equal_to_the_index_table(p, n):
     ctx = TruncationContext(p, n)
-    idx = np.arange(ctx.N)
-    view = offset_shells(ctx)
-    assert np.array_equal(view, offset_shells(ctx, idx, idx))
-    assert np.array_equal(view, ctx.shells[(idx[:, None] - idx[None, :]) % ctx.N])
+    x = np.arange(ctx.N)
+    diff = (x[:, None] - x[None, :]) % ctx.N
+    gen = np.random.default_rng(p * 10 + n)
+    v = gen.normal(size=ctx.N) + 1j * gen.normal(size=ctx.N)
+    # v(-k) != v(k) once N > 2, so a view that reads v[(y - x) mod N] fails
+    assert ctx.N <= 2 or not np.array_equal(v, v[(-x) % ctx.N])
+    view = offset_view(v)
+    assert np.array_equal(view, v[diff])
+    assert np.array_equal(offset_view(x), diff)
     assert not view.flags.writeable and view.base is not None
+    # a sub-block on the sub-dual, as schur_sums weighs one, equals the index form on that block
+    sub = np.flatnonzero(ctx.shells <= max(n - 1, 0))
+    block = (sub[:, None] - sub[None, :]) % ctx.N
+    assert np.array_equal(view[np.ix_(sub, sub)], v[block])
+    assert np.array_equal(offset_view(ctx.shells)[np.ix_(sub, sub)], ctx.shells[block])
 
 
 @pytest.mark.parametrize(
@@ -277,7 +300,7 @@ def eta_sum_composition(s1, s2):
     """
     ctx = s1.ctx
     N = ctx.N
-    chars = ctx.character_matrix()  # [x, eta]
+    chars = character_matrix(ctx)  # [x, eta]
     sighat2 = np.conj(chars).T @ s2.table / N  # [eta, xi]
     cols = np.arange(N)
     out = np.zeros((N, N), dtype=complex)

@@ -23,9 +23,9 @@ from padic_calc.cli import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
+    _fmt,
     _perturbed_vladimirov,
     _smooth_bump,
-    fmt,
     main,
 )
 from padic_calc.core import TruncationContext
@@ -43,9 +43,9 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 
 def test_float_formatting_is_17_digits():
-    assert fmt(1.0 / 3.0) == f"{1.0 / 3.0:.17g}"
-    assert fmt(3) == "3"
-    assert fmt(True) == "True"
+    assert _fmt(1.0 / 3.0) == f"{1.0 / 3.0:.17g}"
+    assert _fmt(3) == "3"
+    assert _fmt(True) == "True"
 
 
 def test_config_validation_errors():
@@ -566,7 +566,7 @@ def test_schur_sweep_artifacts_equal_the_dense_route(tmp_path, capsys):
     capsys.readouterr()
     rep = equivalence_check(vladimirov_symbol(VladimirovSpec(1.3, 2), TruncationContext(2, 6)), m=1.3, r_max=4)
     want = ["r,m,row_sup,col_sup,norm,growth_ratio"] + [
-        ",".join(fmt(v) for v in (sr.r, sr.m, sr.row_sup, sr.col_sup, sr.norm, sr.growth_ratio)) for sr in rep.schur
+        ",".join(_fmt(v) for v in (sr.r, sr.m, sr.row_sup, sr.col_sup, sr.norm, sr.growth_ratio)) for sr in rep.schur
     ]
     assert (tmp_path / "schur_sweep.csv").read_text().splitlines() == want
 
