@@ -18,6 +18,9 @@ kernel of D^s, a symbol's matrix ``A[x, y] = B[x, x - y]``, the
 associated matrix ``sighat(eta - xi, xi)``, the weights
 ``<eta - xi>^r``) is read through :func:`offset_view`, a read-only
 strided view of two copies of an N-vector, with no N x N index table.
+Every sum over the cosets ``x + p^k Z_p`` (the rings of the kernel of
+D^s, one per valuation) is read from :func:`coset_sums`, one O(N)
+reshape-sum per level, fine to coarse.
 
 The fast transform is numpy's FFT (see
 :mod:`padic_calc.fourier`), which uses its own twiddle factors.
@@ -159,6 +162,25 @@ def offset_view(v: np.ndarray) -> np.ndarray:
     """
     N = len(v)
     return sliding_window_view(np.concatenate((v, v)), N)[1 : N + 1, ::-1]
+
+
+def coset_sums(v: np.ndarray, ctx: TruncationContext) -> list[np.ndarray]:
+    """Sums of an N-vector over the cosets of ``p^k Z_p``, for k = 0..n.
+
+    Level k is a p^k-vector whose entry r is the sum of ``v[y]`` over
+    ``y = r mod p^k``; level n is ``v`` itself.  Each level is one
+    ``reshape(p, p^k).sum(axis=0)`` of the level above, so all n+1 levels
+    cost O(N) together.
+
+    Examples
+    --------
+    >>> [s.tolist() for s in coset_sums(np.arange(4), TruncationContext(2, 2))]
+    [[6], [2, 4], [0, 1, 2, 3]]
+    """
+    sums = [np.asarray(v)]
+    for k in range(ctx.n - 1, -1, -1):
+        sums.append(sums[-1].reshape(ctx.p, ctx.p**k).sum(axis=0))
+    return sums[::-1]
 
 
 @dataclass(frozen=True)

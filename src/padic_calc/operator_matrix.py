@@ -232,7 +232,10 @@ def schur_sums(
     eta - xi is taken in the dual group.  ``row_idx`` / ``col_idx``
     restrict both the matrix and the index bookkeeping to a sub-block.
     The weight ``<eta-xi>^r`` is ``core.offset_view`` of ``<.>^r``, read as
-    is on the full range and gathered on a sub-block.  A caller that sums
+    is on the full range and gathered on a sub-block.  On the full range a
+    C-contiguous matrix is read in place; any other is copied to C order,
+    the layout a sub-block gather makes, so the sums do not depend on the
+    input's memory order.  A caller that sums
     many blocks or exponents of one matrix forms ``|M| <eta-xi>^r`` once
     per r and reads its blocks with ``schur_sups``.
     """
@@ -240,7 +243,10 @@ def schur_sums(
     rows = np.arange(ctx.N) if row_idx is None else np.asarray(row_idx)
     cols = np.arange(ctx.N) if col_idx is None else np.asarray(col_idx)
     weights = offset_view(np.power(ctx.weights, r))
-    if row_idx is not None or col_idx is not None:
+    if row_idx is None and col_idx is None:
+        block = np.ascontiguousarray(entries)
+    else:
+        block = entries[np.ix_(rows, cols)]
         weights = weights[np.ix_(rows, cols)]
-    weighted = np.abs(entries[np.ix_(rows, cols)]) * weights
+    weighted = np.abs(block) * weights
     return schur_sups(weighted, ctx, rows, cols, m)

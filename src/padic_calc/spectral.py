@@ -261,9 +261,14 @@ def eigen(A: OperatorMatrix, cap: int = DENSE_EIG_CAP) -> EigenDecomposition:
     return dec
 
 
-def counting_function(eigenvalues: np.ndarray, t: float) -> int:
-    """Number of eigenvalues with modulus <= t."""
-    return int(np.sum(np.abs(np.asarray(eigenvalues)) <= t))
+def counting_function(eigenvalues: np.ndarray, t):
+    """Number of eigenvalues with modulus <= t, for a scalar ``t`` or an array of them.
+
+    The moduli are sorted once and every ``t`` is one ``np.searchsorted``.
+    """
+    mods = np.sort(np.abs(np.asarray(eigenvalues)))
+    counts = np.searchsorted(mods, t, side="right")
+    return int(counts) if np.ndim(t) == 0 else counts
 
 
 @dataclass
@@ -284,6 +289,13 @@ class WeylFit:
     plain_slope: float
 
 
+#: shifts per round of the grid refinement in ``weyl_slope_fit``; each round
+#: keeps the two grid cells around the best one, 1/8 of the bracket
+SHIFT_GRID = 17
+#: rounds of refinement: the bracket 1.9 t_min ends below 1e-12 t_min
+SHIFT_ROUNDS = 14
+
+
 def _linfit(x: np.ndarray, y: np.ndarray):
     A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -291,27 +303,38 @@ def _linfit(x: np.ndarray, y: np.ndarray):
     return coef[0], coef[1], float(r @ r)
 
 
+def _shifted_rss(shifts: np.ndarray, ts: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Residual sum of squares of the line fit of y against ``log(ts + b)``, for each shift b."""
+    x = np.log(ts[None, :] + shifts[:, None])
+    x -= x.mean(axis=1, keepdims=True)
+    ym = y - y.mean()
+    slope = (x @ ym) / np.einsum("ij,ij->i", x, x)
+    # from the residuals: sum y^2 - Sxy^2 / Sxx cancels to rounding near a good fit
+    r = ym[None, :] - slope[:, None] * x
+    return np.einsum("ij,ij->i", r, r)
+
+
 def weyl_slope_fit(eigenvalues: np.ndarray, t_min: float, t_max: float) -> WeylFit:
     """Fit the counting function's growth on [t_min, t_max].
 
-    Fit points are the distinct eigenvalue moduli (the jumps of N);
-    the shift is chosen by least squares within (-0.9 t_min, t_min).
+    Fit points are the distinct eigenvalue moduli (the jumps of N), counted
+    with one sort by :func:`counting_function`.  The shift minimizes the
+    residual sum of squares within [-0.9 t_min, t_min] by grid refinement:
+    ``SHIFT_ROUNDS`` rounds of ``SHIFT_GRID`` shifts, evaluated at once,
+    each round keeping the cells beside the best one.  Memory is
+    ``SHIFT_GRID`` times the number of fit points.
     """
-    mods = np.abs(np.asarray(eigenvalues))
-    ts = np.unique(mods)
-    ts = ts[(ts >= t_min) & (ts <= t_max) & (ts > 0)]
+    mods = np.unique(np.abs(np.asarray(eigenvalues)))
+    ts = mods[(mods >= t_min) & (mods <= t_max) & (mods > 0)]
     if ts.size < 3:
         raise ValueError(f"need at least 3 jump points in [{t_min}, {t_max}], found {ts.size}")
-    counts = np.array([counting_function(mods, t) for t in ts], dtype=float)
-    y = np.log(counts)
-
-    def rss_of(b: float) -> float:
-        return _linfit(np.log(ts + b), y)[2]
-
-    import scipy.optimize  # here, not at the top: only weyl-count needs it, and it is slow to import
-
-    res = scipy.optimize.minimize_scalar(rss_of, bounds=(-0.9 * t_min, t_min), method="bounded")
-    shift = float(res.x)
+    y = np.log(counting_function(eigenvalues, ts).astype(float))
+    lo, hi = -0.9 * t_min, t_min
+    for _ in range(SHIFT_ROUNDS):
+        shifts = np.linspace(lo, hi, SHIFT_GRID)
+        best = int(np.argmin(_shifted_rss(shifts, ts, y)))
+        lo, hi = shifts[max(best - 1, 0)], shifts[min(best + 1, SHIFT_GRID - 1)]
+    shift = float(shifts[best])
     slope, intercept, rss = _linfit(np.log(ts + shift), y)
     plain_slope, _, _ = _linfit(np.log(ts), y)
     return WeylFit(

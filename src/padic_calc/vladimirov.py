@@ -5,9 +5,12 @@ Two routes are implemented and cross-validated:
 * :func:`apply_integral` realizes the hypersingular integral as an exact
   finite sum over cosets (the y-in-same-coset term vanishes identically
   for locally constant functions, so the singularity never evaluates).
-  The normalization is fixed so that the quadratic form is non-negative:
-  characters are eigenfunctions with eigenvalue ``|xi|^s - c(p, s)``,
-  ``c(p, s) = (1 - 1/p) / (1 - p^-(s+1))``, and eigenvalue 0 at xi = 0.
+  The kernel is constant on each ring ``|x - y|_p = p^-k``, so the sum
+  regroups into :func:`core.coset_sums`: O(N n) time, O(N) memory and
+  no transform.  The normalization is fixed so that the quadratic form
+  is non-negative: characters are eigenfunctions with eigenvalue
+  ``|xi|^s - c(p, s)``, ``c(p, s) = (1 - 1/p) / (1 - p^-(s+1))``, and
+  eigenvalue 0 at xi = 0.
 
 * :func:`shell_eigenvalues` gives that spectrum in closed form on the
   n+1 shells, in O(n) and with no transform, and also the two affine
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConsistencyError, Frequency, TruncationContext, is_admissible_prime, offset_view
+from .core import ConsistencyError, Frequency, TruncationContext, coset_sums, is_admissible_prime
 from .fourier import LevelFunction, SpectralFunction
 
 FORMULA_TAGS = ("integral", "plus_constant", "scaled_constant")
@@ -69,32 +72,45 @@ class VladimirovSpec:
         return (1.0 - 1.0 / self.p) / (1.0 - float(self.p) ** (-(self.s + 1.0)))
 
 
-def kernel_vector(spec: VladimirovSpec, ctx: TruncationContext) -> np.ndarray:
-    """Haar-weighted kernel ``K[z] = p^-n / |z|_p^(s+1)`` with ``K[0] = 0``."""
+def shell_kernel(spec: VladimirovSpec, ctx: TruncationContext) -> np.ndarray:
+    """Haar-weighted kernel on the rings k = 0..n-1: ``p^-n / |z|_p^(s+1)`` at ``v_p(z) = k``; O(n)."""
     if ctx.p != spec.p:
         raise ValueError(f"context prime {ctx.p} does not match spec prime {spec.p}")
     # |z|_p = p^-v_p(z) for the residue z, so 1/|z|^(s+1) = p^(v*(s+1))
-    K = np.zeros(ctx.N)
-    val = ctx.valuations.astype(np.float64)
-    K[1:] = np.power(float(ctx.p), val[1:] * (spec.s + 1.0))
-    return K / ctx.N
+    return np.power(float(ctx.p), np.arange(ctx.n, dtype=np.float64) * (spec.s + 1.0)) / ctx.N
+
+
+def kernel_vector(spec: VladimirovSpec, ctx: TruncationContext) -> np.ndarray:
+    """Haar-weighted kernel ``K[z] = p^-n / |z|_p^(s+1)`` with ``K[0] = 0``: :func:`shell_kernel` by valuation."""
+    return np.append(shell_kernel(spec, ctx), 0.0)[ctx.valuations]
 
 
 def apply_integral(spec: VladimirovSpec, f: LevelFunction) -> LevelFunction:
     """Exact singular-sum realization of D^s f.
 
     ``out[x] = (1/|gamma|) * p^-n * sum_{y != x} (f[x] - f[y]) / |x-y|^(s+1)``
-    where |x-y|_p is read off the integer residue difference.  Pure direct
-    summation; independent of the transform stack by design, so it can
-    serve as the eigenvalue oracle.
+    where |x-y|_p is read off the integer residue difference.  The y with
+    ``v_p(x - y) = k`` are the ``count_k = p^(n-k) - p^(n-k-1)`` points of
+    the ring ``x + p^k Z_p`` minus ``x + p^(k+1) Z_p``, so with ``S_k`` the
+    coset sums of :func:`core.coset_sums`,
+    ``out = (1/|gamma|) sum_{k<n} K_k (count_k f - (S_k - S_(k+1)))``:
+    O(N n) time and O(N) memory, and independent of the transform stack
+    by design, so it can serve as the eigenvalue oracle.
     """
     ctx = f.ctx
-    K = kernel_vector(spec, ctx)
-    # difference before summing: a constant f gives exactly 0, with no
-    # cancellation between sum_y K and sum_y K f[y]
-    terms = f.values[:, None] - f.values[None, :]
-    terms *= offset_view(K)  # K(x - y) as a view: the only N x N array is terms
-    return LevelFunction(ctx, terms.sum(axis=1) / spec.norm_scale)
+    p, n = ctx.p, ctx.n
+    K = shell_kernel(spec, ctx)
+    # D^s kills constants: subtracting f[0] first makes a constant f give
+    # exactly 0, with no cancellation between count_k f and the ring sums
+    v = f.values - f.values[0]
+    S = coset_sums(v, ctx)
+    out = np.zeros_like(v, dtype=np.result_type(v, np.float64))
+    for k in range(n):
+        # sum of v over the ring at valuation k, indexed by x mod p^(k+1)
+        ring = (S[k] - S[k + 1].reshape(p, p**k)).ravel()
+        count = p ** (n - k) - p ** (n - k - 1)
+        out += K[k] * (count * v.reshape(-1, p ** (k + 1)) - ring).ravel()
+    return LevelFunction(ctx, out / spec.norm_scale)
 
 
 def shell_eigenvalues(spec: VladimirovSpec, ctx: TruncationContext, formula: str = "integral") -> np.ndarray:

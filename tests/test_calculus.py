@@ -591,3 +591,16 @@ def test_schur_sums_shell_powers_equal_the_n_entry_weights(p, n):
             for rows, cols in blocks:
                 got = schur_sums(M, ctx, r, m, row_idx=rows, col_idx=cols)
                 assert got == schur_sums_direct(M, ctx, r, m, row_idx=rows, col_idx=cols)
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 3), (5, 2)])
+def test_schur_sums_full_range_equals_the_index_form_in_any_memory_order(p, n):
+    ctx = TruncationContext(p, n)
+    gen = np.random.default_rng(p * n)
+    M = gen.normal(size=(ctx.N, ctx.N)) + 1j * gen.normal(size=(ctx.N, ctx.N))
+    every = np.arange(ctx.N)
+    wide = np.concatenate((M, M), axis=1)
+    for entries in (M, M.T, np.asfortranarray(M), wide[:, ::2], M.real):
+        for r, m in ((0, 0), (1.5, 1), (3, -0.5)):
+            got = schur_sums(entries, ctx, r, m)
+            assert got == schur_sums(entries, ctx, r, m, row_idx=every, col_idx=every)

@@ -311,6 +311,16 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_weyl_count_run_loads_no_scipy_optimize(tmp_path):
+    cfg = write_config(tmp_path, {"experiment": "weyl-count", "p": 2, "n": 10, "output_dir": str(tmp_path / "out")})
+    code = (
+        "import sys; from padic_calc.cli import main; "
+        f"code = main(['run', '--config', {str(cfg)!r}]); print(code, 'scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == f"{EXIT_OK} False"
+
+
 #: a level at which every experiment runs in well under a second
 SMALL_N = {
     "transform-bench": 4,

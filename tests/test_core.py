@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padic_calc.core import INFINITE_ORDER, Frequency, TruncationContext, is_prime, valuation
+from padic_calc.core import INFINITE_ORDER, Frequency, TruncationContext, coset_sums, is_prime, valuation
 from padic_calc.vladimirov import VladimirovSpec
 
 
@@ -167,6 +167,19 @@ def test_norm_tables_are_the_shell_tables_gathered_by_shell(p, n):
     assert ctx.shell_norms.shape == ctx.shell_weights.shape == (n + 1,)
     assert np.array_equal(ctx.shell_norms, norms[ctx.shell_index])
     assert np.array_equal(ctx.shell_weights, np.maximum(1.0, norms)[ctx.shell_index])
+
+
+@pytest.mark.parametrize("p,n", [(3, 0), (2, 1), (2, 6), (3, 4), (5, 3), (7, 2)])
+def test_coset_sums_match_naive_index_sums(p, n):
+    ctx = TruncationContext(p, n)
+    # integer entries: every summation order gives the same sums, so == is the test
+    v = np.random.default_rng(10 * p + n).integers(-1000, 1000, size=ctx.N)
+    sums = coset_sums(v, ctx)
+    assert len(sums) == n + 1
+    y = np.arange(ctx.N)
+    for k, level in enumerate(sums):
+        naive = np.array([v[y % p**k == r].sum() for r in range(p**k)])
+        assert level.shape == (p**k,) and np.array_equal(level, naive), k
 
 
 def test_constructors_bound_p_before_the_trial_division():

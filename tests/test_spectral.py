@@ -24,7 +24,7 @@ from padic_calc.spectral import (
     weyl_slope_fit,
 )
 from padic_calc.symbols import Symbol, seminorm, vladimirov_symbol
-from padic_calc.vladimirov import VladimirovSpec, multiplier_table, shell_eigenvalues
+from padic_calc.vladimirov import FORMULA_TAGS, VladimirovSpec, multiplier_table, shell_eigenvalues
 
 
 def rng():
@@ -274,6 +274,57 @@ def test_counting_function_examples():
     counts = [counting_function(lam, t) for t in (0.0, 1.4, 3.4, 7.4)]
     assert counts == [1, 2, 4, 8]  # exact shell cardinalities
     assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+
+def test_counting_function_array_form_equals_the_scalar_loop():
+    gen = rng()
+    lam = multiplier_table(VladimirovSpec(1.3, 3), TruncationContext(3, 5), "plus_constant")
+    eig = np.concatenate([lam, gen.normal(size=50) + 1j * gen.normal(size=50)])
+    ts = np.concatenate([np.unique(np.abs(eig)), [-1.0, 0.0, 1e-300, np.inf], gen.uniform(0.0, 300.0, size=40)])
+    counts = counting_function(eig, ts)
+    assert counts.shape == ts.shape
+    assert counts.tolist() == [int(np.sum(np.abs(eig) <= t)) for t in ts]
+    assert all(type(counting_function(eig, t)) is int for t in (3.0, np.float64(3.0)))
+
+
+def scipy_weyl_fit(eigenvalues, t_min, t_max):
+    """The bounded scalar minimization the fit used before its grid refinement: ``(slope, rss)``."""
+    import scipy.optimize
+
+    mods = np.abs(eigenvalues)
+    ts = np.unique(mods)
+    ts = ts[(ts >= t_min) & (ts <= t_max) & (ts > 0)]
+    y = np.log([float(np.sum(mods <= t)) for t in ts])
+
+    def line(b):
+        A = np.vstack([np.log(ts + b), np.ones_like(ts)]).T
+        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+        r = y - A @ coef
+        return coef[0], float(r @ r)  # the RSS from the residuals
+
+    res = scipy.optimize.minimize_scalar(lambda b: line(b)[1], bounds=(-0.9 * t_min, t_min), method="bounded")
+    return line(res.x)
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (2, 10), (2, 14), (3, 5), (3, 8), (5, 5), (5, 6), (7, 5)])
+def test_weyl_slope_fit_matches_the_scipy_minimization(p, n):
+    ctx = TruncationContext(p, n)
+    cases = 0
+    for s in np.linspace(0.3, 3.0, 10):
+        for tag in FORMULA_TAGS:
+            lam = multiplier_table(VladimirovSpec(float(s), p), ctx, tag)
+            t_min, t_max = float(p) ** s, float(p) ** ((n - 1) * s)
+            if np.unique(np.abs(lam[(np.abs(lam) >= t_min) & (np.abs(lam) <= t_max)])).size < 3:
+                with pytest.raises(ValueError, match="at least 3 jump points"):
+                    weyl_slope_fit(lam, t_min, t_max)
+                continue
+            fit = weyl_slope_fit(lam, t_min, t_max)
+            slope, rss = scipy_weyl_fit(lam, t_min, t_max)
+            # scipy stops within 1e-5 of its minimizer; the grid refinement goes on to 1e-12 t_min
+            assert fit.slope == pytest.approx(slope, rel=1e-6), (s, tag)
+            assert fit.rss <= rss * (1.0 + 1e-9) + 1e-28, (s, tag)
+            cases += 1
+    assert cases >= 25  # at most a few (s, tag) per level have too few jump points
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])

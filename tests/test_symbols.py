@@ -27,7 +27,8 @@ from padic_calc.symbols import (
     seminorm,
     vladimirov_symbol,
 )
-from padic_calc.vladimirov import VladimirovSpec, apply_integral, multiplier_table
+from padic_calc.vladimirov import VladimirovSpec, multiplier_table
+from test_vladimirov import direct_integral
 
 
 def rng():
@@ -316,11 +317,11 @@ def _growth(full, sub):
 
 
 def _dx_oracle(cols, beta, ctx):
-    """D^beta of each column as a function of x, through apply_integral."""
+    """D^beta of each column as a function of x, through the direct singular sum."""
     if beta == 0:
         return cols
     spec = VladimirovSpec(float(beta), ctx.p)
-    return np.stack([apply_integral(spec, LevelFunction(ctx, cols[:, k])).values for k in range(cols.shape[1])], axis=1)
+    return np.stack([direct_integral(spec, LevelFunction(ctx, cols[:, k])) for k in range(cols.shape[1])], axis=1)
 
 
 def _s_oracle(prof, ctx, m, rho, delta, alpha_max, beta_max):

@@ -5,6 +5,9 @@ oracle itself (ratio of apply_integral on characters) and then checked
 against the closed form |xi|^s - c with c = (1-1/p)/(1-p^-(s+1)), which
 the oracle reproduces to machine precision once n >= log_p|xi|.
 
+``apply_integral`` regroups the singular sum by coset sums; the direct
+O(N^2) sum over all pairs, ``direct_integral`` below, is its oracle.
+
 The ``integral`` table is the closed form.  Two routes that share no
 code with it check it: the defining kernel sum summed shell by shell in
 60-digit ``mpmath``, and the kernel transform ``(sum K - N Khat) / |gamma|``
@@ -17,7 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from padic_calc.core import ConsistencyError, Frequency, TruncationContext
+from padic_calc.core import ConsistencyError, Frequency, TruncationContext, offset_view
 from padic_calc.fourier import LevelFunction, SpectralFunction, forward, inverse
 from padic_calc.vladimirov import (
     FORMULA_TAGS,
@@ -33,6 +36,14 @@ from padic_calc.vladimirov import (
 
 def rng():
     return np.random.default_rng(7)
+
+
+def direct_integral(spec, f):
+    """``(1/|gamma|) sum_y K(x - y) (f[x] - f[y])`` summed directly over all N^2 pairs."""
+    # difference before summing: a constant f gives exactly 0
+    terms = f.values[:, None] - f.values[None, :]
+    terms *= offset_view(kernel_vector(spec, f.ctx))
+    return terms.sum(axis=1) / spec.norm_scale
 
 
 def test_spec_validation():
@@ -51,6 +62,27 @@ def test_constants_in_kernel():
     spec = VladimirovSpec(1.5, 2)
     out = apply_integral(spec, LevelFunction(ctx, np.full(ctx.N, 3.7 - 1.2j)))
     assert np.max(np.abs(out.values)) < 1e-11
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 6), (3, 4), (5, 3), (7, 2), (3, 0), (2, 9), (2, 10)])
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.6, 2.9])
+def test_coset_sums_match_the_direct_sum(p, n, s):
+    ctx = TruncationContext(p, n)
+    spec = VladimirovSpec(s, p)
+    gen = np.random.default_rng(100 * p + n)
+    f = LevelFunction(ctx, gen.normal(size=ctx.N) + 1j * gen.normal(size=ctx.N))
+    got = apply_integral(spec, f).values
+    want = direct_integral(spec, f)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # a constant gives exactly 0 on both routes
+    const = LevelFunction(ctx, np.full(ctx.N, 3.7 - 1.2j))
+    assert not np.any(apply_integral(spec, const).values) and not np.any(direct_integral(spec, const))
+
+
+def test_integral_rejects_a_context_over_another_prime():
+    f = LevelFunction(TruncationContext(3, 2), np.ones(9))
+    with pytest.raises(ValueError, match="context prime 3 does not match spec prime 2"):
+        apply_integral(VladimirovSpec(1.0, 2), f)
 
 
 def test_linearity():
@@ -157,13 +189,15 @@ def test_multiplier_tags_differ_by_documented_constants():
 
 
 def test_multiplier_route_agrees_with_integral_route():
-    ctx = TruncationContext(2, 6)
-    spec = VladimirovSpec(1.3, 2)
-    gen = rng()
-    f = LevelFunction(ctx, gen.normal(size=ctx.N) + 1j * gen.normal(size=ctx.N))
-    via_integral = apply_integral(spec, f).values
-    via_multiplier = inverse(SpectralFunction(ctx, forward(f).coeffs * multiplier_table(spec, ctx))).values
-    assert np.max(np.abs(via_integral - via_multiplier)) < 1e-10 * max(1.0, np.max(np.abs(via_integral)))
+    for p, n in [(2, 6), (3, 4), (5, 3), (7, 2), (2, 16)]:
+        ctx = TruncationContext(p, n)
+        for s in (0.5, 1.3, 2.9):
+            spec = VladimirovSpec(s, p)
+            gen = rng()
+            f = LevelFunction(ctx, gen.normal(size=ctx.N) + 1j * gen.normal(size=ctx.N))
+            via_integral = apply_integral(spec, f).values
+            via_multiplier = inverse(SpectralFunction(ctx, forward(f).coeffs * multiplier_table(spec, ctx))).values
+            assert np.max(np.abs(via_integral - via_multiplier)) <= 1e-14 * np.max(np.abs(via_multiplier)), (p, n, s)
 
 
 def test_eigenvalue_monotonicity_and_ellipticity():
