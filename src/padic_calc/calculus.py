@@ -202,7 +202,9 @@ def parametrix(
     # every block below is read from one |R| per side and one |R| <eta-xi>^r per side and r
     idx = np.arange(ctx.N)
     masks = [ctx.norms >= float(ctx.p) ** ell_cut for ell_cut in cutoffs]
-    tails = [(mask, np.flatnonzero(mask)) for mask in masks]
+    # the tails are nested, so each block is cut from the one before by its mask restricted there
+    nested = [mask[prev] for prev, mask in zip([np.ones(ctx.N, dtype=bool)] + masks, masks)]
+    tails = [(sub, np.flatnonzero(mask)) for sub, mask in zip(nested, masks)]
     low = ~high
     low_idx = np.flatnonzero(low)
     magnitudes = {side: np.abs(R) for side, R in residuals.items()}
@@ -214,8 +216,10 @@ def parametrix(
         for side, mags in magnitudes.items():
             weighted = mags * weights
             residual_norms[side][r] = schur_sups(weighted, ctx, idx, idx)
-            for ci, (mask, sel) in enumerate(tails):
-                tail_norms[side][ri, ci] = max(schur_sups(_block(weighted, mask), ctx, sel, sel))
+            block = weighted
+            for ci, (sub, sel) in enumerate(tails):
+                block = _block(block, sub)
+                tail_norms[side][ri, ci] = max(schur_sups(block, ctx, sel, sel))
     fitted = {
         side: {
             r: _decay_order(cutoffs, grid[ri], ctx.p) if len(cutoffs) >= 2 else np.nan for ri, r in enumerate(r_values)

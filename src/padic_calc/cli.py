@@ -45,14 +45,14 @@ from .fourier import LevelFunction, dft, forward, inverse, l2_norm, spectral_l2_
 from .matrix_algebra import EllipticityMarginError, multiplier_equivalence, wiener_experiment
 from .operator_matrix import _write_in_place
 from .spectral import (
-    counting_function,
     heat_evolve,
     op_norm_sobolev_multiplier,
+    shell_counts,
     variable_coefficient_generator,
     weyl_slope_fit,
 )
 from .symbols import FAMILIES, Symbol, multiplier_seminorm
-from .vladimirov import FORMULA_TAGS, VladimirovSpec, multiplier_table, shell_eigenvalues
+from .vladimirov import FORMULA_TAGS, VladimirovSpec, shell_eigenvalues
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -164,12 +164,13 @@ def write_json(path: Path, obj) -> dict:
 
 #: Largest p^n each experiment accepts; ``run`` checks it before it creates the
 #: output directory, and a larger level exits 3 (resource cap).  The D^s
-#: spectra are closed forms on the n+1 shells: vladimirov-eigen and the two
-#: sweeps never leave them (their 36 MB peak RSS is the import alone), while
-#: sobolev-bound and weyl-count gather them to O(N) vectors.  Each figure is
-#: one fresh process at p=2 and the cap level (n=20; n=11 for wiener; n=13 and
-#: trials 1 for transform-bench) with its default params (import included) on
-#: a 2-vCPU Xeon.  wiener runs one series per shell but still builds its N x N
+#: spectra are closed forms on the n+1 shells, and the five experiments that
+#: read them never leave them: each peaks within 4 MB of the import alone
+#: (33-36 MB).  Their cap, 2^20, is the largest level measured; weyl-count
+#: counts up to p^n in int64.  Each figure is one fresh process at p=2 and
+#: the cap level (n=20; n=11 for wiener; n=13 and trials 1 for
+#: transform-bench) with its default params (import included) on a 2-vCPU
+#: Xeon.  wiener runs one series per shell but still builds its N x N
 #: table, which sets its cap.  transform-bench builds N x N arrays for its
 #: naive oracle, about 3.7x the memory a level up.
 CAPS = {
@@ -180,8 +181,8 @@ CAPS = {
     "schur-sweep": 2**20,  # 0.29-0.33 s, 36 MB peak RSS
     "wiener": 2**11,  # 0.55-0.57 s, 169 MB peak RSS; n=12 took 1.4 s, 565 MB
     "parametrix": 2**8,
-    "sobolev-bound": 2**20,  # 0.72 s, 148 MB peak RSS with s_values [0.5, 1, 2]
-    "weyl-count": 2**20,  # 0.46-0.50 s, 80 MB peak RSS
+    "sobolev-bound": 2**20,  # 0.17-0.18 s, 36 MB peak RSS with s_values [0.5, 1, 2]
+    "weyl-count": 2**20,  # 0.17 s, 37 MB peak RSS
     "heat": 2**10,  # 1.7-2.2 s, 130 MB peak RSS, real eigensolve (exactly real generator at every p)
 }
 
@@ -417,7 +418,7 @@ def _run_sobolev_bound(cfg, ctx, rng, out):
     rows = [("s", "t", "norm", "norm_next_level", "rel_shift")]
     for s in s_values:
         spec = VladimirovSpec(s, cfg.p)
-        lam, lam_fine = multiplier_table(spec, ctx), multiplier_table(spec, fine)
+        lam, lam_fine = shell_eigenvalues(spec, ctx), shell_eigenvalues(spec, fine)
         for t in t_values:
             v1 = op_norm_sobolev_multiplier(lam, ctx, t, s)
             v2 = op_norm_sobolev_multiplier(lam_fine, fine, t, s)
@@ -432,13 +433,12 @@ def _run_weyl_count(cfg, ctx, rng, out):
     artifacts = []
     fits = {}
     for s in s_values:
-        lam = multiplier_table(VladimirovSpec(s, cfg.p), ctx, formula)
-        mods = np.unique(np.abs(lam))
-        mods = mods[mods > 0]
-        rows = [("t", "count")] + list(zip(mods, counting_function(lam, mods).tolist()))
+        ts, counts = shell_counts(shell_eigenvalues(VladimirovSpec(s, cfg.p), ctx, formula), ctx)
+        jumps = ts > 0
+        rows = [("t", "count")] + list(zip(ts[jumps], counts[jumps].tolist()))
         artifacts.append(write_csv(out / f"weyl_counts_s{_fmt(s)}.csv", rows))
         try:
-            fit = weyl_slope_fit(lam, t_min=float(cfg.p) ** s, t_max=float(cfg.p) ** ((cfg.n - 1) * s))
+            fit = weyl_slope_fit(ts, counts, t_min=float(cfg.p) ** s, t_max=float(cfg.p) ** ((cfg.n - 1) * s))
         except ValueError as exc:
             raise ConfigError(f"level n={cfg.n} is too small for the slope fit: {exc}") from exc
         fits[_fmt(s)] = asdict(fit)

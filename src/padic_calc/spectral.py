@@ -2,12 +2,19 @@
 
 The ``H^(t+m) -> H^t`` operator norm has two routes.  A multiplier (an
 x-independent symbol, such as ``D^s``) is diagonalized exactly by the
-transform, so ``op_norm_sobolev_multiplier`` reads the norm off its
-eigenvalue vector in closed form, in O(N) time and memory.  Any other
-operator goes through ``op_norm_sobolev``: the dense matrix in a basis of
-characters, conjugated by the weights, and its largest singular value.
-An exactly real sample-basis matrix takes the real Hartley basis and a
-real SVD; any other matrix takes the frequency basis.
+transform, so ``op_norm_sobolev_multiplier`` reads the norm of a radial
+one off its n+1 shell eigenvalues in closed form, in O(n) time and
+memory.  Any other operator goes through ``op_norm_sobolev``: the dense
+matrix in a basis of characters, conjugated by the weights, and its
+largest singular value.  An exactly real sample-basis matrix takes the
+real Hartley basis and a real SVD; any other matrix takes the frequency
+basis.
+
+The counting function ``N(t)`` of a spectrum jumps at its distinct
+moduli.  ``counting_function`` counts any eigenvalue array with one
+sort; ``shell_counts`` reads the jumps of a radial multiplier off its
+shell profile and the shell sizes, in O(n).  ``weyl_slope_fit`` fits
+those ``(ts, counts)``, whichever route produced them.
 
 ``eigen`` is the dense route of heat flow.  A matrix with no nonzero
 imaginary entry, such as the sample-basis generator of
@@ -138,22 +145,23 @@ def op_norm_sobolev(A: OperatorMatrix, s: float, m: float) -> float:
     return float(np.linalg.norm(conj, 2))
 
 
-def op_norm_sobolev_multiplier(lam: np.ndarray, ctx: TruncationContext, t: float, m: float) -> float:
-    """H^(t+m) -> H^t norm of the multiplier with eigenvalues ``lam``, in O(N).
+def op_norm_sobolev_multiplier(profile: np.ndarray, ctx: TruncationContext, t: float, m: float) -> float:
+    """H^(t+m) -> H^t norm of the radial multiplier with shell eigenvalues ``profile``, in O(n).
 
     The transform diagonalizes a multiplier exactly, so the conjugated
     operator ``J_t A J_-(t+m)`` is the diagonal ``<xi>^t lam <xi>^-(t+m)``
-    and its spectral norm is the largest modulus on that diagonal.  This
-    agrees with ``op_norm_sobolev(quantize(Symbol.multiplier(ctx, lam)), t, m)``
+    and its spectral norm is the largest modulus on that diagonal.  Both
+    ``<xi>`` and ``lam`` are constant on each of the n+1 shells, and no
+    shell is empty, so the largest modulus over the shells is the one
+    over all N entries, bit for bit.  This agrees with
+    ``op_norm_sobolev(quantize(Symbol.multiplier(ctx, profile[ctx.shells])), t, m)``
     without forming the N x N matrix.
     """
-    lam = np.asarray(lam)
-    if lam.shape != (ctx.N,):
-        raise ValueError(f"multiplier needs {ctx.N} eigenvalues, got shape {lam.shape}")
-    # <xi> takes one value per shell, so the powers are taken on the n+1 shell
-    # weights and gathered back by shell
+    profile = np.asarray(profile)
+    if profile.shape != (ctx.n + 1,):
+        raise ValueError(f"multiplier needs {ctx.n + 1} shell eigenvalues, got shape {profile.shape}")
     w = ctx.shell_weights
-    return float(np.max(np.power(w, t)[ctx.shells] * np.abs(lam) * np.power(w, -(t + m))[ctx.shells]))
+    return float(np.max(np.power(w, t) * np.abs(profile) * np.power(w, -(t + m))))
 
 
 @dataclass
@@ -271,6 +279,27 @@ def counting_function(eigenvalues: np.ndarray, t):
     return int(counts) if np.ndim(t) == 0 else counts
 
 
+def shell_counts(profile: np.ndarray, ctx: TruncationContext) -> tuple[np.ndarray, np.ndarray]:
+    """``(ts, counts)``: the distinct eigenvalue moduli, ascending, and N(t) at each, in O(n).
+
+    ``profile`` holds the n+1 shell eigenvalues of a radial multiplier;
+    shell 0 holds one frequency and shell j the ``p^j - p^(j-1)`` of norm
+    ``p^j``.  The counts are the cumulative shell sizes in modulus order,
+    the same integers as ``counting_function(profile[ctx.shells], ts)``,
+    as int64, which holds ``p^n`` at every admitted level.
+    """
+    profile = np.asarray(profile)
+    if profile.shape != (ctx.n + 1,):
+        raise ValueError(f"multiplier needs {ctx.n + 1} shell eigenvalues, got shape {profile.shape}")
+    sizes = np.diff(ctx.p ** np.arange(ctx.n + 1, dtype=np.int64), prepend=0)
+    mods = np.abs(profile)
+    order = np.argsort(mods, kind="stable")
+    mods = mods[order]
+    # shells of equal modulus are one jump, counted at the last of them
+    last = np.append(mods[1:] != mods[:-1], True)
+    return mods[last], np.cumsum(sizes[order])[last]
+
+
 @dataclass
 class WeylFit:
     """Shifted power-law fit of the counting function.
@@ -303,36 +332,42 @@ def _linfit(x: np.ndarray, y: np.ndarray):
     return coef[0], coef[1], float(r @ r)
 
 
-def _shifted_rss(shifts: np.ndarray, ts: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Residual sum of squares of the line fit of y against ``log(ts + b)``, for each shift b."""
+def _shifted_rss(shifts: np.ndarray, ts: np.ndarray, ym: np.ndarray) -> np.ndarray:
+    """Residual sum of squares of the line fit of ``ym`` (centred) against ``log(ts + b)``, for each shift b."""
     x = np.log(ts[None, :] + shifts[:, None])
-    x -= x.mean(axis=1, keepdims=True)
-    ym = y - y.mean()
+    x -= np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
     slope = (x @ ym) / np.einsum("ij,ij->i", x, x)
     # from the residuals: sum y^2 - Sxy^2 / Sxx cancels to rounding near a good fit
     r = ym[None, :] - slope[:, None] * x
     return np.einsum("ij,ij->i", r, r)
 
 
-def weyl_slope_fit(eigenvalues: np.ndarray, t_min: float, t_max: float) -> WeylFit:
+def weyl_slope_fit(ts: np.ndarray, counts: np.ndarray, t_min: float, t_max: float) -> WeylFit:
     """Fit the counting function's growth on [t_min, t_max].
 
-    Fit points are the distinct eigenvalue moduli (the jumps of N), counted
-    with one sort by :func:`counting_function`.  The shift minimizes the
+    ``ts`` are the jump points of N, the distinct eigenvalue moduli in
+    ascending order, and ``counts`` the value of N at each: from
+    :func:`shell_counts` for a radial multiplier, or ``np.unique(|lam|)``
+    and ``counting_function(lam, ts)`` for an eigenvalue array.  Fit points
+    are the positive ones inside the window.  The shift minimizes the
     residual sum of squares within [-0.9 t_min, t_min] by grid refinement:
     ``SHIFT_ROUNDS`` rounds of ``SHIFT_GRID`` shifts, evaluated at once,
     each round keeping the cells beside the best one.  Memory is
     ``SHIFT_GRID`` times the number of fit points.
     """
-    mods = np.unique(np.abs(np.asarray(eigenvalues)))
-    ts = mods[(mods >= t_min) & (mods <= t_max) & (mods > 0)]
+    ts, counts = np.asarray(ts), np.asarray(counts)
+    if ts.shape != counts.shape:
+        raise ValueError(f"jump points {ts.shape} and counts {counts.shape} differ in shape")
+    keep = (ts >= t_min) & (ts <= t_max) & (ts > 0)
+    ts = ts[keep]
     if ts.size < 3:
         raise ValueError(f"need at least 3 jump points in [{t_min}, {t_max}], found {ts.size}")
-    y = np.log(counting_function(eigenvalues, ts).astype(float))
+    y = np.log(counts[keep].astype(float))
+    ym = y - y.mean()
     lo, hi = -0.9 * t_min, t_min
     for _ in range(SHIFT_ROUNDS):
         shifts = np.linspace(lo, hi, SHIFT_GRID)
-        best = int(np.argmin(_shifted_rss(shifts, ts, y)))
+        best = int(np.argmin(_shifted_rss(shifts, ts, ym)))
         lo, hi = shifts[max(best - 1, 0)], shifts[min(best + 1, SHIFT_GRID - 1)]
     shift = float(shifts[best])
     slope, intercept, rss = _linfit(np.log(ts + shift), y)

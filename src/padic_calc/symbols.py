@@ -398,7 +398,8 @@ def _sweep(family, m, rho, delta, alpha_max, beta_max, ratio_iter) -> SeminormRe
         sel = ratios[np.broadcast_to(sub, ratios.shape)]
         C[alpha, beta] = float(ratios.max()) if ratios.size else 0.0
         Csub[alpha, beta] = float(sel.max()) if sel.size else 0.0
-    return SeminormReport(family, m, rho, delta, alpha_max, beta_max, C, np.vectorize(_ratio)(C, Csub))
+    growth = np.array([[_ratio(full, sub) for full, sub in zip(*rows)] for rows in zip(C, Csub)])
+    return SeminormReport(family, m, rho, delta, alpha_max, beta_max, C, growth)
 
 
 def seminorm(

@@ -17,6 +17,7 @@ from padic_calc.matrix_algebra import equivalence_check, wiener_experiment
 from padic_calc.operator_matrix import OperatorMatrix
 from padic_calc.spectral import (
     SobolevScale,
+    counting_function,
     embedding_check,
     heat_evolve,
     op_norm_sobolev,
@@ -245,7 +246,8 @@ def test_criterion_8_weyl_counting():
     ctx = TruncationContext(2, 10)
     for s in (0.5, 1.0, 2.0):
         lam = multiplier_table(VladimirovSpec(s, 2), ctx, "integral")
-        fit = weyl_slope_fit(lam, t_min=2.0**s, t_max=2.0 ** ((ctx.n - 1) * s))
+        ts = np.unique(np.abs(lam))
+        fit = weyl_slope_fit(ts, counting_function(lam, ts), t_min=2.0**s, t_max=2.0 ** ((ctx.n - 1) * s))
         checks[f"s={s} slope {fit.slope:.4f} = {1 / s} +- 0.05"] = abs(fit.slope - 1.0 / s) <= 0.05
     _verdict("8 weyl counting", checks, time.perf_counter() - t0, 30.0)
 

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from padic_calc.cli import (
     _perturbed_vladimirov,
     _smooth_bump,
     main,
+    run,
 )
 from padic_calc.core import TruncationContext
 from padic_calc.fourier import dft
@@ -530,7 +532,13 @@ def test_s_check_sweep_keeps_its_cap(tmp_path, capsys, n, code):
 
 @pytest.mark.parametrize(
     "experiment,params",
-    [("vladimirov-eigen", {"s": 2.9}), ("seminorm-sweep", {"family": "S_check"}), ("schur-sweep", {})],
+    [
+        ("vladimirov-eigen", {"s": 2.9}),
+        ("seminorm-sweep", {"family": "S_check"}),
+        ("schur-sweep", {}),
+        ("sobolev-bound", {"s_values": [0.5, 1.0, 2.0]}),
+        ("weyl-count", {"formula": "plus_constant"}),
+    ],
 )
 def test_d_s_readers_build_no_n_entry_table(tmp_path, capsys, monkeypatch, experiment, params):
     # every N-entry context table (shells, norms, weights) is computed from the valuations
@@ -542,6 +550,22 @@ def test_d_s_readers_build_no_n_entry_table(tmp_path, capsys, monkeypatch, exper
     assert main(["run", "--config", str(write_config(tmp_path, doc))]) == EXIT_OK
     capsys.readouterr()
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("experiment,params", [("sobolev-bound", {"s_values": [0.5, 1.0, 2.0]}), ("weyl-count", {})])
+def test_shell_route_experiments_allocate_under_a_megabyte(tmp_path, experiment, params):
+    # at the cap an N-entry float vector alone is 8 MB; a run at a small level
+    # first loads what run imports lazily (numpy.random), about 1 MB of its own
+    doc = {"experiment": experiment, "p": 2, "n": 6, "output_dir": str(tmp_path / "out"), "params": params}
+    run(ExperimentConfig.from_dict(doc))
+    cfg = ExperimentConfig.from_dict({**doc, "n": 20})
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_huge_prime_is_rejected_before_the_primality_test(tmp_path, capsys):

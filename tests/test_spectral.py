@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_calc.core import ConsistencyError, ResourceCapError, TruncationContext
 from padic_calc.calculus import NotEllipticError, quantize
@@ -19,6 +21,7 @@ from padic_calc.spectral import (
     norm_equivalence_check,
     op_norm_sobolev,
     op_norm_sobolev_multiplier,
+    shell_counts,
     sobolev_norm,
     variable_coefficient_generator,
     weyl_slope_fit,
@@ -129,7 +132,7 @@ def test_op_norm_multiplier_closed_form_matches_dense_svd(p, n):
     ctx = TruncationContext(p, n)
     for s in (0.5, 1.0, 2.0):
         spec = VladimirovSpec(s, p)
-        lam = multiplier_table(spec, ctx)
+        lam = shell_eigenvalues(spec, ctx)
         A = quantize(vladimirov_symbol(spec, ctx))
         for t in (-1.0, 0.0, 2.0):
             assert op_norm_sobolev_multiplier(lam, ctx, t, s) == pytest.approx(op_norm_sobolev(A, t, s), rel=1e-10)
@@ -138,27 +141,83 @@ def test_op_norm_multiplier_closed_form_matches_dense_svd(p, n):
 def test_op_norm_multiplier_complex_eigenvalues_and_length_check():
     ctx = TruncationContext(3, 3)
     gen = rng()
-    lam = (gen.normal(size=ctx.N) + 1j * gen.normal(size=ctx.N)) * ctx.weights**1.5
-    A = quantize(Symbol.multiplier(ctx, lam))
+    lam = (gen.normal(size=ctx.n + 1) + 1j * gen.normal(size=ctx.n + 1)) * ctx.shell_weights**1.5
+    A = quantize(Symbol.multiplier(ctx, lam[ctx.shells]))
     for t in (-1.0, 0.0, 2.0):
         assert op_norm_sobolev_multiplier(lam, ctx, t, 1.5) == pytest.approx(op_norm_sobolev(A, t, 1.5), rel=1e-10)
     with pytest.raises(ValueError):
         op_norm_sobolev_multiplier(np.ones(7), TruncationContext(2, 3), 0.0, 1.0)
 
 
+def n_entry_op_norm(lam, ctx, t, m):
+    """The N-entry route: the largest modulus of ``<xi>^t lam <xi>^-(t+m)`` over every dual index."""
+    w = ctx.shell_weights
+    return float(np.max(np.power(w, t)[ctx.shells] * np.abs(lam) * np.power(w, -(t + m))[ctx.shells]))
+
+
 def test_op_norm_multiplier_shell_powers_equal_full_powers():
-    # the powers are taken on the n+1 shell weights; the result must be the very
-    # float the N-entry powers gave, at both levels sobolev-bound uses, and also
-    # for eigenvalues that vary inside a shell
+    # the norm is taken on the n+1 shells; the result must be the very float the
+    # N-entry expression gave, at both levels sobolev-bound uses, and also for
+    # complex shell eigenvalues
     gen = rng()
     for p, n in ((2, 7), (3, 4), (2, 20), (5, 3), (7, 0)):
         for ctx in (TruncationContext(p, n), TruncationContext(p, n + 1)):
-            w = ctx.weights
-            noise = gen.normal(size=ctx.N) + 1j * gen.normal(size=ctx.N)
-            for lam in (multiplier_table(VladimirovSpec(1.0, p), ctx), noise * w**1.5):
+            noise = gen.normal(size=ctx.n + 1) + 1j * gen.normal(size=ctx.n + 1)
+            for prof in (shell_eigenvalues(VladimirovSpec(1.0, p), ctx), noise * ctx.shell_weights**1.5):
                 for t, m in ((-1.0, 1.0), (0.0, 1.0), (2.0, 1.0), (0.3, -0.7)):
-                    full = float(np.max(np.power(w, t) * np.abs(lam) * np.power(w, -(t + m))))
-                    assert op_norm_sobolev_multiplier(lam, ctx, t, m) == full
+                    full = n_entry_op_norm(prof[ctx.shells], ctx, t, m)
+                    assert op_norm_sobolev_multiplier(prof, ctx, t, m) == full
+
+
+def array_jumps(lam):
+    """``(ts, counts)`` of an eigenvalue array: its distinct moduli and the counting function there."""
+    ts = np.unique(np.abs(lam))
+    return ts, counting_function(lam, ts)
+
+
+@st.composite
+def shell_levels(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    n = draw(st.integers(0, min(12, int(np.log(4096) / np.log(p)))))
+    return TruncationContext(p, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ctx=shell_levels(),
+    s=st.floats(0.05, 3.0),
+    tag=st.sampled_from(FORMULA_TAGS),
+    t=st.floats(-2.0, 2.0),
+)
+def test_shell_route_equals_the_n_entry_route_bit_for_bit(ctx, s, tag, t):
+    spec = VladimirovSpec(s, ctx.p)
+    prof = shell_eigenvalues(spec, ctx, tag)
+    lam = multiplier_table(spec, ctx, tag)
+    ts, counts = shell_counts(prof, ctx)
+    want_ts, want_counts = array_jumps(lam)
+    assert ts.tobytes() == want_ts.tobytes()
+    assert counts.tolist() == want_counts.tolist()
+    for level in (ctx, TruncationContext(ctx.p, ctx.n + 1)):
+        fine = shell_eigenvalues(spec, level, tag)
+        assert op_norm_sobolev_multiplier(fine, level, t, s) == n_entry_op_norm(fine[level.shells], level, t, s)
+    t_min, t_max = float(ctx.p) ** s, float(ctx.p) ** ((ctx.n - 1) * s)
+    if np.count_nonzero((ts >= t_min) & (ts <= t_max) & (ts > 0)) >= 3:
+        assert weyl_slope_fit(ts, counts, t_min, t_max) == weyl_slope_fit(want_ts, want_counts, t_min, t_max)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ctx=shell_levels(), data=st.data())
+def test_shell_counts_merge_shells_of_equal_modulus(ctx, data):
+    # moduli drawn from a few values, so shells tie, and out of order
+    vals = st.sampled_from([0.0, 1.0, -1.0, 2.5, 1j, -2.5j, 7.0])
+    prof = np.array(data.draw(st.lists(vals, min_size=ctx.n + 1, max_size=ctx.n + 1)), dtype=np.complex128)
+    ts, counts = shell_counts(prof, ctx)
+    want_ts, want_counts = array_jumps(prof[ctx.shells])
+    assert ts.tobytes() == want_ts.tobytes()
+    assert counts.tolist() == want_counts.tolist()
+    assert counts.dtype == np.int64 and counts[-1] == ctx.N
+    with pytest.raises(ValueError, match="shell eigenvalues"):
+        shell_counts(np.append(prof, 0.0), ctx)
 
 
 def test_norm_equivalence_for_multiplier():
@@ -316,9 +375,9 @@ def test_weyl_slope_fit_matches_the_scipy_minimization(p, n):
             t_min, t_max = float(p) ** s, float(p) ** ((n - 1) * s)
             if np.unique(np.abs(lam[(np.abs(lam) >= t_min) & (np.abs(lam) <= t_max)])).size < 3:
                 with pytest.raises(ValueError, match="at least 3 jump points"):
-                    weyl_slope_fit(lam, t_min, t_max)
+                    weyl_slope_fit(*array_jumps(lam), t_min, t_max)
                 continue
-            fit = weyl_slope_fit(lam, t_min, t_max)
+            fit = weyl_slope_fit(*array_jumps(lam), t_min, t_max)
             slope, rss = scipy_weyl_fit(lam, t_min, t_max)
             # scipy stops within 1e-5 of its minimizer; the grid refinement goes on to 1e-12 t_min
             assert fit.slope == pytest.approx(slope, rel=1e-6), (s, tag)
@@ -332,12 +391,12 @@ def test_weyl_slope_fit_recovers_inverse_order(s):
     ctx = TruncationContext(2, 10)
     spec = VladimirovSpec(s, 2)
     lam = multiplier_table(spec, ctx, "integral")
-    fit = weyl_slope_fit(lam, t_min=2.0**s, t_max=2.0 ** ((ctx.n - 1) * s))
+    fit = weyl_slope_fit(*array_jumps(lam), t_min=2.0**s, t_max=2.0 ** ((ctx.n - 1) * s))
     assert fit.slope == pytest.approx(1.0 / s, abs=0.05)
     # the fitted shift recovers the spectral offset
     assert fit.shift == pytest.approx(spec.additive_constant, abs=0.05)
     with pytest.raises(ValueError):
-        weyl_slope_fit(lam[:2], 1.0, 2.0)
+        weyl_slope_fit(*array_jumps(lam[:2]), 1.0, 2.0)
 
 
 def test_heat_multiplier_path_exact_single_mode():

@@ -683,3 +683,18 @@ def test_seminorm_report_csv_and_json():
     assert len(rows) == 1 + 4
     doc = __import__("json").loads(rep.to_json())
     assert doc["family"] == "S_tilde" and doc["alpha_max"] == 1
+
+
+def test_sweep_growth_ratios_equal_the_elementwise_ratio():
+    # 0/0 reads 1.0, x/0 reads inf (an empty sub-dual set included), an (alpha, beta) not yielded keeps 0/0
+    records = [
+        (0, 0, np.zeros(2), np.array([True, True])),
+        (0, 1, np.array([3.0, 0.0]), np.array([False, True])),
+        (1, 0, np.array([2.0, 1.5]), np.array([False, True])),
+        (1, 1, np.array([[0.7, 0.2]]), np.array([False, False])),
+        (2, 2, np.array([1e-300, 3e-300]), np.array([True, False])),
+    ]
+    rep = _sweep("S", 1.0, 0.0, 0.0, 2, 2, iter(records))
+    want = np.vectorize(_growth)(rep.constants, np.array([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 0.0, 1e-300]]))
+    assert rep.growth_ratio.dtype == want.dtype and rep.growth_ratio.tobytes() == want.tobytes()
+    assert rep.growth_ratio[0].tolist() == [1.0, np.inf, 1.0] and rep.growth_ratio[1, 1] == np.inf
