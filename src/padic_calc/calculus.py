@@ -97,20 +97,29 @@ class EllipticityReport:
     shell_mins: np.ndarray  # min of |sigma| / <xi>^order per shell 0..n
 
 
-def ellipticity_report(sym: Symbol, order: float, n_max: int | None = None) -> EllipticityReport | None:
+def ellipticity_report(
+    sym: Symbol, order: float, n_max: int | None = None, profile: np.ndarray | None = None
+) -> EllipticityReport | None:
     """Smallest threshold exponent N <= n_max with a positive shell bound.
 
     Shell 0 is the zero frequency (weight p^0 = 1), so N = 0 demands the
     bound on every mode.  Returns None if no threshold up to ``n_max``
-    gives a strictly positive constant.
+    gives a strictly positive constant.  ``profile``, the shell profile of
+    a table radial in xi (``Symbol.shell_profile``), gives the same minima
+    from its n+1 columns, one per shell, in place of the N columns of
+    ``sym.table``: the weight is constant on a shell.
     """
     ctx = sym.ctx
     if n_max is None:
         n_max = ctx.n
     n_max = min(n_max, ctx.n)
-    ratios = np.abs(sym.table) / np.power(ctx.weights, order)[None, :]
+    if profile is None:
+        table, weights, shells = sym.table, ctx.weights, ctx.shells
+    else:
+        table, weights, shells = profile, ctx.shell_weights, np.arange(ctx.n + 1)
+    ratios = np.abs(table) / np.power(weights, order)[None, :]
     shell_mins = np.full(ctx.n + 1, np.inf)
-    np.minimum.at(shell_mins, ctx.shells, ratios.min(axis=0))
+    np.minimum.at(shell_mins, shells, ratios.min(axis=0))
     for N in range(0, n_max + 1):
         tail = shell_mins[N:]
         if tail.size and tail.min() > 0.0:

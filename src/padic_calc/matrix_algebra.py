@@ -22,6 +22,8 @@ and no N x N array.
 table that is exactly radial in xi, such as ``lambda(|xi|) + V(x)`` in the
 ``wiener`` experiment, the columns of a shell are equal, so one series
 runs per shell and its floats are reported for every column of the shell.
+Each series runs in chunks of terms, one transform per chunk, sized by the
+sup-norm bound on the term at which it can stop.
 """
 
 from __future__ import annotations
@@ -43,7 +45,12 @@ QUENCH_FLOOR = 1e-13
 #: and fails if that takes more than SERIES_MAX_TERMS terms
 SERIES_TOL = 1e-12
 SERIES_MAX_TERMS = 2000
-#: the series holds this many bytes of complex128 columns per block
+#: the k-th term of a series whose bound exceeds k by this factor is at least
+#: SERIES_TOL^(1/1.01) in sup (1.3 SERIES_TOL), far beyond rounding, so it
+#: cannot stop the series (see ``wiener_experiment``)
+SERIES_BOUND_MARGIN = 1.01
+#: the series holds this many bytes of complex128 columns per block, and its
+#: stack of terms holds at most this many bytes per chunk (but always one term)
 SERIES_BLOCK_BYTES = 1 << 17
 
 
@@ -227,21 +234,35 @@ def wiener_experiment(
 
     A table that is exactly radial in xi (``Symbol.shell_profile``) has
     equal columns on each shell, so the series runs once per shell, on its
-    first column ``ctx.shell_index[j]``, and every column of the shell
-    reports those floats.  Other tables run every column.  The columns run
-    in blocks of SERIES_BLOCK_BYTES, held as rows, so each series term is
-    one transform per block; a column leaves the block when it converges.
-    Every float operation is the one the column-by-column loop does, so the
+    first column ``ctx.shell_index[j]``, every column of the shell reports
+    those floats, and the ellipticity minima are read off the profile.
+    Other tables run every column.  The columns run in blocks of
+    SERIES_BLOCK_BYTES, held as rows, and the series of a block runs in
+    chunks of terms: each chunk is built by repeated multiplication into
+    one (terms, rows, N) stack of at most SERIES_BLOCK_BYTES (and at least
+    one term) and transformed in one call.  The chunk length comes from a
+    bound: the k-th term (counting from 1) is f^k, whose sup is c^k for
+    the contraction c = max |f|, and the l1 norm of a spectrum bounds the
+    sup of its function, so no row stops before term ``bound =
+    log(SERIES_TOL) / log(c)``; on smooth columns the series stops at its
+    ceiling or one term later.  A chunk runs to one term past the slowest
+    row's bound, or fills the stack once every row is past it.  Only the
+    terms from the fastest row's ``bound / SERIES_BOUND_MARGIN`` on, and
+    the third, where the warm ratio starts, are transformed; a row whose
+    bound exceeds SERIES_MAX_TERMS by that margin cannot converge and fails
+    at once.  The terms are added to the sum in the loop's order, so every
+    float of the report is the one the column-by-column loop computes: the
     report is bit-identical to it, and the first failing column in column
-    order raises.
+    order raises the loop's error.
     """
     ctx = sym.ctx
-    ell = ellipticity_report(sym, order, n_max=threshold)
+    profile = sym.shell_profile()
+    ell = ellipticity_report(sym, order, n_max=threshold, profile=profile)
     if ell is None:
         raise EllipticityMarginError(f"symbol not elliptic of order {order} at threshold {threshold}")
     high = np.flatnonzero(ctx.norms >= float(ctx.p) ** threshold)
     # on a radial table, the first column of each shell (its lowest u) runs for all of the shell
-    key = high if sym.shell_profile() is None else ctx.shell_index[ctx.shells[high]]
+    key = high if profile is None else ctx.shell_index[ctx.shells[high]]
     reps, src = np.unique(key, return_inverse=True)
     block = max(1, SERIES_BLOCK_BYTES // (16 * ctx.N))
     weights = ctx.weights
@@ -260,39 +281,62 @@ def wiener_experiment(
         for i, c in zip(live, contraction):
             if c >= 1.0:
                 fail[int(i)] = f"column u={us[i]}: pointwise contraction factor {c:.6f} >= 1"
-        keep = ~(contraction >= 1.0)  # an inf entry makes it NaN: that column runs, and fails, as in the loop
-        rows = live[keep]
-        f = f[keep].astype(np.complex128)  # the cast the loop's term * f makes on every step
+        keep = ~(contraction >= 1.0)  # an inf entry makes it NaN: the loop runs that column's series, all NaN
+        rows, f = live[keep], f[keep]
+        with np.errstate(divide="ignore"):
+            bound = np.log(SERIES_TOL) / np.log(contraction[keep])  # 0 for c = 0, NaN for c = NaN
+        doomed = ~(bound <= SERIES_BOUND_MARGIN * SERIES_MAX_TERMS)
+        unreached = rows[doomed]
+        rows, bound = rows[~doomed], bound[~doomed]
+        f = f[~doomed].astype(np.complex128)  # the cast the loop's term * f makes on every step
         terms = np.zeros(us.size, dtype=np.int64)
         first = np.zeros(us.size)  # l1 spectrum of term 2, where the warm ratio starts
         last = np.zeros(us.size)
-        recon = np.zeros(us.size)
+        sums = np.ones(cols.shape, dtype=np.complex128)  # each row's sum of the terms before its last
         acc = np.ones(f.shape, dtype=np.complex128)
-        term = f.copy()
         k = 0
         while rows.size and k < SERIES_MAX_TERMS:
-            spec = dft_axis(term, ctx, -1, axis=1)
-            spec /= ctx.N
-            spec_l1 = np.sum(np.abs(spec), axis=1)
-            if k == 2:
-                first[rows] = spec_l1
+            cap = max(1, SERIES_BLOCK_BYTES // (16 * ctx.N * rows.size))
+            end = int(np.ceil(bound.max())) + 1
+            size = min(end - k if end > k else cap, cap, SERIES_MAX_TERMS - k)
+            stack = np.empty((size, rows.size, ctx.N), dtype=np.complex128)
+            if k == 0:
+                stack[0] = f
+            else:
+                np.multiply(term, f, out=stack[0])  # term: the previous chunk's last
+            for i in range(1, size):
+                np.multiply(stack[i - 1], f, out=stack[i])
+            # terms j (from 0) with (j + 1) * margin below every row's bound stop no row and are not transformed
+            j = np.arange(k, k + size)
+            tested = ((j + 1) * SERIES_BOUND_MARGIN >= bound.min()) | (j == 2)
+            spec_l1 = np.full((size, rows.size), np.inf)
+            if tested.any():
+                spec = dft_axis(stack[tested], ctx, -1, axis=2)
+                spec /= ctx.N
+                spec_l1[tested] = np.sum(np.abs(spec), axis=2)
+            if k <= 2 < k + size:
+                first[rows] = spec_l1[2 - k]
             done = spec_l1 < SERIES_TOL
-            if done.any():
-                ended = rows[done]
-                terms[ended], last[ended] = k + 1, spec_l1[done]
-                recip_direct = 1.0 / cols[ended]
-                recip_series = acc[done] / sup[ended, None]
-                recon[ended] = np.max(np.abs(recip_series - recip_direct), axis=1) / np.max(np.abs(recip_direct), axis=1)
-                running = ~done
-                rows, f, acc, term = rows[running], f[running], acc[running], term[running]
-            acc += term
-            term *= f
-            k += 1
-        for i in rows:
+            stop = np.where(done.any(axis=0), done.argmax(axis=0), size)  # terms each row adds before it stops
+            low = stop.min()
+            for i in range(stop.max()):
+                np.add(acc, stack[i], out=acc, where=True if i < low else (i < stop)[:, None])
+            term = stack[-1]
+            ended = np.flatnonzero(stop < size)
+            if ended.size:
+                terms[rows[ended]] = k + stop[ended] + 1
+                last[rows[ended]] = spec_l1[stop[ended], ended]
+                sums[rows[ended]] = acc[ended]
+                running = stop == size
+                rows, bound, f, acc, term = rows[running], bound[running], f[running], acc[running], term[running]
+            k += size
+        for i in np.concatenate([unreached, rows]):
             fail[int(i)] = f"column u={us[i]}: series did not reach {SERIES_TOL} in {SERIES_MAX_TERMS} terms"
         if fail:
             raise EllipticityMarginError(fail[min(fail)])
-        spec = np.abs(dft_axis(1.0 / cols, ctx, -1, axis=1) / ctx.N)
+        recip = 1.0 / cols
+        recon = np.max(np.abs(sums / sup[:, None] - recip), axis=1) / np.max(np.abs(recip), axis=1)
+        spec = np.abs(dft_axis(recip, ctx, -1, axis=1) / ctx.N)
         jr = {r: np.sum(w * spec, axis=1) for r, w in weights_r.items()}
         for i, u in enumerate(us):
             delta = float(inf[i] / sup[i])

@@ -405,6 +405,13 @@ def test_ellipticity_shell_mins_equal_the_masked_scans(p, n):
             ratios = np.abs(table) / np.power(ctx.weights, order)[None, :]
             want = np.array([float(ratios[:, ctx.shells == j].min()) for j in range(n + 1)])
             assert rep is not None and np.array_equal(rep.shell_mins, want)
+            # a radial table's minima read off its n+1 profile columns are the same floats
+            profile = Symbol(ctx, table).shell_profile()
+            assert profile is not None or table is tables[0]
+            if profile is not None:
+                radial = ellipticity_report(Symbol(ctx, table), order, profile=profile)
+                assert (radial.threshold, radial.constant) == (rep.threshold, rep.constant)
+                assert np.array_equal(radial.shell_mins, want)
 
 
 def test_parametrix_multiplier_cut_modes_only():

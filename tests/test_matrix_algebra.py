@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_calc import matrix_algebra
 from padic_calc.cli import _smooth_bump
@@ -189,6 +191,8 @@ def test_wiener_multiplier_converges_immediately():
         assert col.recon_error < 1e-12
     # 1/sigma spectrum is a single delta: the constant is exactly 1
     assert rep.jr_constants[0] == pytest.approx(1.0, rel=1e-10)
+    # constant columns: max |f| = 0, so the bound log(SERIES_TOL) / log(0) is 0
+    assert dataclasses.asdict(rep) == dataclasses.asdict(wiener_loop(sym, 1.0, 1))
 
 
 def test_wiener_perturbed_contraction_respects_bound():
@@ -318,20 +322,25 @@ def outcome(fn, *args):
 @pytest.mark.parametrize("p, n", [(2, 7), (3, 4), (5, 3), (7, 2)])
 @pytest.mark.parametrize("factor", [1.0 + 1e-3, -1.0])
 def test_wiener_non_radial_blocks_bit_identical_to_column_loop(monkeypatch, p, n, factor):
-    # one entry off its shell value sends the table down the block route; -1 makes its column fail
+    # one entry off its shell value sends the table down the block route; -1 makes its column fail;
+    # the second pass adds a slow column, whose series runs over several chunks of terms
     ctx = TruncationContext(p, n)
     table = perturbed_d1(ctx).table.copy()
     table[1, ctx.N - 1] *= factor
-    sym = Symbol(ctx, table)
-    assert sym.shell_profile() is None
-    for threshold in range(n + 1):
-        want = outcome(wiener_loop, sym, 1.0, threshold)
-        assert outcome(wiener_experiment, sym, 1.0, threshold) == want
-        for nbytes in block_bytes(ctx):
-            monkeypatch.setattr(matrix_algebra, "SERIES_BLOCK_BYTES", nbytes)
+    for slow in (False, True):
+        if slow:
+            slow_column(table, ctx, 1)
+        sym = Symbol(ctx, table)
+        assert sym.shell_profile() is None
+        for threshold in range(n + 1):
+            want = outcome(wiener_loop, sym, 1.0, threshold)
             assert outcome(wiener_experiment, sym, 1.0, threshold) == want
-        monkeypatch.undo()
+            for nbytes in block_bytes(ctx):
+                monkeypatch.setattr(matrix_algebra, "SERIES_BLOCK_BYTES", nbytes)
+                assert outcome(wiener_experiment, sym, 1.0, threshold) == want
+            monkeypatch.undo()
     assert factor > 0 or "pointwise contraction factor" in outcome(wiener_loop, sym, 1.0, 1)[1]
+    assert factor < 0 or outcome(wiener_loop, sym, 1.0, 1)["columns"][0]["terms"] > 250
 
 
 @pytest.mark.parametrize("radial", [True, False])
@@ -343,7 +352,7 @@ def test_wiener_runs_one_series_per_shell_of_a_radial_table(monkeypatch, radial)
     rows = []
 
     def counting_dft_axis(a, *args, **kwargs):
-        rows.append(a.shape[0])
+        rows.append(a.shape[-2])  # a stack of terms is (terms, columns, N)
         return dft_axis(a, *args, **kwargs)
 
     monkeypatch.setattr(matrix_algebra, "dft_axis", counting_dft_axis)
@@ -381,43 +390,77 @@ def test_wiener_sign_change_fails_like_the_loop():
 
 
 def test_wiener_term_limit_fails_like_the_loop(monkeypatch):
+    # the bounds log(SERIES_TOL) / log(max |f|) run from 5.03 (u=1, whose series stops at term 6) to 15.97;
+    # with 3 terms every column fails at once, unrun; with 5, u=1 fails inside its first chunk of terms
     ctx = TruncationContext(2, 6)
     sym = perturbed_d1(ctx)
+    for max_terms in (3, 5):
+        monkeypatch.setattr(matrix_algebra, "SERIES_MAX_TERMS", max_terms)
+        msg = raised(wiener_loop, sym, 1.0, 1)
+        assert msg == raised(wiener_experiment, sym, 1.0, 1)
+        assert msg.startswith("column u=1: series did not reach")
+        for nbytes in block_bytes(ctx):
+            monkeypatch.setattr(matrix_algebra, "SERIES_BLOCK_BYTES", nbytes)
+            assert raised(wiener_experiment, sym, 1.0, 1) == msg
+        monkeypatch.undo()
+    calls = []
     monkeypatch.setattr(matrix_algebra, "SERIES_MAX_TERMS", 3)
-    msg = raised(wiener_loop, sym, 1.0, 1)
-    assert msg == raised(wiener_experiment, sym, 1.0, 1)
-    assert "did not reach" in msg
-    for nbytes in block_bytes(ctx):
-        monkeypatch.setattr(matrix_algebra, "SERIES_BLOCK_BYTES", nbytes)
-        assert raised(wiener_experiment, sym, 1.0, 1) == msg
+    monkeypatch.setattr(matrix_algebra, "dft_axis", lambda a, *args, **kwargs: calls.append(a.shape))
+    raised(wiener_experiment, sym, 1.0, 1)
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_wiener_inf_entry_fails_like_the_loop(monkeypatch):
-    # inf / inf makes the contraction NaN, which is not >= 1: the column runs its series and fails
+    # inf / inf makes the contraction NaN, which is not >= 1: the loop runs the column's series, every
+    # term NaN, and fails; the NaN bound fails it at once
     ctx = TruncationContext(2, 4)
     table = perturbed_d1(ctx).table.copy()
     table[3, 5] = np.inf
     sym = Symbol(ctx, table)
-    monkeypatch.setattr(matrix_algebra, "SERIES_MAX_TERMS", 50)
-    msg = raised(wiener_loop, sym, 1.0, 1)
-    assert msg == raised(wiener_experiment, sym, 1.0, 1)
-    assert msg.startswith("column u=5: series did not reach")
+    for max_terms in (50, matrix_algebra.SERIES_MAX_TERMS):
+        monkeypatch.setattr(matrix_algebra, "SERIES_MAX_TERMS", max_terms)
+        msg = raised(wiener_loop, sym, 1.0, 1)
+        assert msg == raised(wiener_experiment, sym, 1.0, 1)
+        assert msg.startswith("column u=5: series did not reach")
+        for nbytes in block_bytes(ctx):
+            monkeypatch.setattr(matrix_algebra, "SERIES_BLOCK_BYTES", nbytes)
+            assert raised(wiener_experiment, sym, 1.0, 1) == msg
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("low_fault, high_fault", [(slow_column, sign_change), (sign_change, slow_column)])
 @pytest.mark.parametrize("u_high", [3, 29])
 def test_wiener_lowest_failing_column_wins(monkeypatch, low_fault, high_fault, u_high):
-    # at (2,5) with 4 rows per block, columns 1 and 3 share a block and 29 is in another;
-    # the slow column fails in the series, after the sign change was already seen
+    # at (2,5) with 4 rows per block, columns 1 and 3 share a block and 29 is in another; the sign
+    # change is seen before any series runs; the slow column's bound is 262.3, so with 100 terms it
+    # fails at once and with 260 it fails in the series, at term 260
     ctx = TruncationContext(2, 5)
     table = perturbed_d1(ctx).table.copy()
     low_fault(table, ctx, 1)
     high_fault(table, ctx, u_high)
     sym = Symbol(ctx, table)
     assert ellipticity_report(sym, 1.0, n_max=1) is not None
-    monkeypatch.setattr(matrix_algebra, "SERIES_MAX_TERMS", 100)
     monkeypatch.setattr(matrix_algebra, "SERIES_BLOCK_BYTES", 16 * ctx.N * 4)
-    msg = raised(wiener_loop, sym, 1.0, 1)
-    assert msg.startswith("column u=1:") and ("did not reach" in msg) == (low_fault is slow_column)
-    assert raised(wiener_experiment, sym, 1.0, 1) == msg
+    for max_terms in (100, 260):
+        monkeypatch.setattr(matrix_algebra, "SERIES_MAX_TERMS", max_terms)
+        msg = raised(wiener_loop, sym, 1.0, 1)
+        assert msg.startswith("column u=1:") and ("did not reach" in msg) == (low_fault is slow_column)
+        assert raised(wiener_experiment, sym, 1.0, 1) == msg
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pn=st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]),
+    fraction=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wiener_chunks_bit_identical_to_column_loop(pn, fraction, seed):
+    # D^1 plus a smooth bump of `fraction` times the margin: near 0.95 the shell-1 series runs about 1,000 terms
+    ctx = TruncationContext(*pn)
+    lam = multiplier_table(VladimirovSpec(1.0, ctx.p), ctx)
+    margin = float(np.min(lam[ctx.norms >= float(ctx.p)]))
+    V = _smooth_bump(ctx, np.random.default_rng(seed), decay=6.0, scale=fraction * margin)
+    sym = Symbol(ctx, lam[None, :] + V[:, None])
+    for threshold in range(ctx.n + 1):
+        assert outcome(wiener_experiment, sym, 1.0, threshold) == outcome(wiener_loop, sym, 1.0, threshold)
