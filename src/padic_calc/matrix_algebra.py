@@ -246,11 +246,11 @@ def wiener_experiment(
     sup of its function, so no row stops before term ``bound =
     log(SERIES_TOL) / log(c)``; on smooth columns the series stops at its
     ceiling or one term later.  A chunk runs to one term past the slowest
-    row's bound, or fills the stack once every row is past it.  Only the
-    terms from the fastest row's ``bound / SERIES_BOUND_MARGIN`` on, and
-    the third, where the warm ratio starts, are transformed; a row whose
-    bound exceeds SERIES_MAX_TERMS by that margin cannot converge and fails
-    at once.  The terms are added to the sum in the loop's order, so every
+    row's bound, or fills the stack once every row is past it.  A chunk is
+    transformed from the fastest row's ``bound / SERIES_BOUND_MARGIN`` on,
+    or from the third term, where the warm ratio starts, if it holds it;
+    a row whose bound exceeds SERIES_MAX_TERMS by that margin cannot
+    converge and fails at once.  The terms are added to the sum in the loop's order, so every
     float of the report is the one the column-by-column loop computes: the
     report is bit-identical to it, and the first failing column in column
     order raises the loop's error.
@@ -306,15 +306,17 @@ def wiener_experiment(
                 np.multiply(term, f, out=stack[0])  # term: the previous chunk's last
             for i in range(1, size):
                 np.multiply(stack[i - 1], f, out=stack[i])
-            # terms j (from 0) with (j + 1) * margin below every row's bound stop no row and are not transformed
-            j = np.arange(k, k + size)
-            tested = ((j + 1) * SERIES_BOUND_MARGIN >= bound.min()) | (j == 2)
+            # no row stops at a term j (from 0) with (j + 1) * margin below its bound: transform from the
+            # fastest row's first possible stop on, or from term 2, where the warm ratio starts
+            warm = k <= 2 < k + size
+            lo = int(np.ceil(bound.min() / SERIES_BOUND_MARGIN)) - 1
+            start = max((min(lo, 2) if warm else lo) - k, 0)
             spec_l1 = np.full((size, rows.size), np.inf)
-            if tested.any():
-                spec = dft_axis(stack[tested], ctx, -1, axis=2)
+            if start < size:
+                spec = dft_axis(stack[start:], ctx, -1, axis=2)
                 spec /= ctx.N
-                spec_l1[tested] = np.sum(np.abs(spec), axis=2)
-            if k <= 2 < k + size:
+                spec_l1[start:] = np.sum(np.abs(spec), axis=2)
+            if warm:
                 first[rows] = spec_l1[2 - k]
             done = spec_l1 < SERIES_TOL
             stop = np.where(done.any(axis=0), done.argmax(axis=0), size)  # terms each row adds before it stops
