@@ -451,12 +451,13 @@ def test_wiener_lowest_failing_column_wins(monkeypatch, low_fault, high_fault, u
 
 @settings(max_examples=40, deadline=None)
 @given(
-    pn=st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]),
+    pn=st.sampled_from([(p, n) for p in (2, 3, 5, 7) for n in range(1, 5) if p**n <= 125]),
     fraction=st.floats(0.05, 0.95),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_wiener_chunks_bit_identical_to_column_loop(pn, fraction, seed):
-    # D^1 plus a smooth bump of `fraction` times the margin: near 0.95 the shell-1 series runs about 1,000 terms
+    # D^1 plus a smooth bump of `fraction` times the margin: near 0.95 the shell-1 series runs up to about
+    # 1,060 terms; p^n <= 125 keeps the oracle, which runs every column, to well under a second per example
     ctx = TruncationContext(*pn)
     lam = multiplier_table(VladimirovSpec(1.0, ctx.p), ctx)
     margin = float(np.min(lam[ctx.norms >= float(ctx.p)]))
