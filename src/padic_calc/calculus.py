@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import offset_view
+from .core import TruncationContext, offset_view
 from .operator_matrix import (
     OperatorMatrix,
     matrix_to_symbol_table,
@@ -97,26 +97,32 @@ class EllipticityReport:
     shell_mins: np.ndarray  # min of |sigma| / <xi>^order per shell 0..n
 
 
-def ellipticity_report(
-    sym: Symbol, order: float, n_max: int | None = None, profile: np.ndarray | None = None
-) -> EllipticityReport | None:
+def ellipticity_report(sym: Symbol, order: float, n_max: int | None = None) -> EllipticityReport | None:
     """Smallest threshold exponent N <= n_max with a positive shell bound.
 
     Shell 0 is the zero frequency (weight p^0 = 1), so N = 0 demands the
     bound on every mode.  Returns None if no threshold up to ``n_max``
-    gives a strictly positive constant.  ``profile``, the shell profile of
-    a table radial in xi (``Symbol.shell_profile``), gives the same minima
-    from its n+1 columns, one per shell, in place of the N columns of
-    ``sym.table``: the weight is constant on a shell.
+    gives a strictly positive constant.
     """
     ctx = sym.ctx
-    if n_max is None:
-        n_max = ctx.n
-    n_max = min(n_max, ctx.n)
-    if profile is None:
-        table, weights, shells = sym.table, ctx.weights, ctx.shells
-    else:
-        table, weights, shells = profile, ctx.shell_weights, np.arange(ctx.n + 1)
+    return _first_threshold(ctx, sym.table, ctx.weights, ctx.shells, order, n_max)
+
+
+def profile_ellipticity(
+    profile: np.ndarray, ctx: TruncationContext, order: float, n_max: int | None = None
+) -> EllipticityReport | None:
+    """``ellipticity_report`` of ``Symbol.radial(ctx, profile)``, read off the n+1 profile columns.
+
+    The weight is constant on a shell, so the minima over the profile's
+    column j are the minima over shell j of the table: the same floats,
+    with no N x N table.
+    """
+    return _first_threshold(ctx, profile, ctx.shell_weights, np.arange(ctx.n + 1), order, n_max)
+
+
+def _first_threshold(ctx, table, weights, shells, order, n_max) -> EllipticityReport | None:
+    """The scan of ``ellipticity_report`` over ``table``, whose column k lies on shell ``shells[k]``."""
+    n_max = ctx.n if n_max is None else min(n_max, ctx.n)
     ratios = np.abs(table) / np.power(weights, order)[None, :]
     shell_mins = np.full(ctx.n + 1, np.inf)
     np.minimum.at(shell_mins, shells, ratios.min(axis=0))

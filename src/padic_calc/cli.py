@@ -42,7 +42,7 @@ from . import __version__
 from .calculus import NotEllipticError, compose_symbols, parametrix, quantize
 from .core import ConsistencyError, ResourceCapError, TruncationContext, is_admissible_prime
 from .fourier import LevelFunction, dft, forward, inverse, l2_norm, spectral_l2_norm
-from .matrix_algebra import EllipticityMarginError, multiplier_equivalence, wiener_experiment
+from .matrix_algebra import EllipticityMarginError, multiplier_equivalence, wiener_profile
 from .operator_matrix import _write_in_place
 from .spectral import (
     heat_evolve,
@@ -170,8 +170,9 @@ def write_json(path: Path, obj) -> dict:
 #: counts up to p^n in int64.  Each figure is one fresh process at p=2 and
 #: the cap level (n=20; n=11 for wiener; n=13 and trials 1 for
 #: transform-bench) with its default params (import included) on a 2-vCPU
-#: Xeon.  wiener runs one series per shell but still builds its N x N
-#: table, which sets its cap.  transform-bench builds N x N arrays for its
+#: Xeon.  wiener runs one series per shell on the (N, n+1) profile and
+#: builds no N x N table; its cap waits on what wiener.csv, one row per u,
+#: should hold at large N.  transform-bench builds N x N arrays for its
 #: naive oracle, about 3.7x the memory a level up.
 CAPS = {
     "transform-bench": 2**13,  # one trial: 2.0 s, 1,573 MB peak RSS
@@ -179,7 +180,7 @@ CAPS = {
     "seminorm-sweep": 2**20,  # 0.27-0.32 s, 36 MB peak RSS, S_check included
     "compose-check": 2**7,
     "schur-sweep": 2**20,  # 0.29-0.33 s, 36 MB peak RSS
-    "wiener": 2**11,  # 0.55-0.57 s, 169 MB peak RSS; n=12 took 1.4 s, 565 MB
+    "wiener": 2**11,  # 0.14-0.16 s, 38 MB peak RSS
     "parametrix": 2**8,
     "sobolev-bound": 2**20,  # 0.17-0.18 s, 36 MB peak RSS with s_values [0.5, 1, 2]
     "weyl-count": 2**20,  # 0.17 s, 37 MB peak RSS
@@ -364,10 +365,11 @@ def _smooth_bump(ctx, rng, decay: float, scale: float) -> np.ndarray:
 
 
 def _perturbed_vladimirov(cfg, ctx, rng, decay: float):
-    """``(s, threshold, scale, sym)`` for ``sym = D^s + V(x)``; params are read, and ``rng`` drawn, in that order.
+    """``(s, threshold, scale, profile)`` for the ``(N, n+1)`` shell profile of ``D^s + V(x)``.
 
-    ``V`` is a seeded bump of peak ``scale``, ``perturbation`` times the least D^s eigenvalue above the
-    threshold; ``decay`` is the runner's default for ``perturbation_decay``.
+    Params are read, and ``rng`` drawn, in that order.  ``V`` is a seeded bump of peak ``scale``,
+    ``perturbation`` times the least D^s eigenvalue above the threshold; ``decay`` is the runner's
+    default for ``perturbation_decay``.
     """
     s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
     threshold = _threshold(cfg)
@@ -376,12 +378,12 @@ def _perturbed_vladimirov(cfg, ctx, rng, decay: float):
     lam = shell_eigenvalues(VladimirovSpec(s, cfg.p), ctx)
     margin = float(np.min(lam[max(threshold, 1) :]))
     V = _smooth_bump(ctx, rng, decay=decay, scale=eps_rel * margin)
-    return s, threshold, float(eps_rel * margin), Symbol.radial(ctx, lam[None, :] + V[:, None])
+    return s, threshold, float(eps_rel * margin), lam[None, :] + V[:, None]
 
 
 def _run_wiener(cfg, ctx, rng, out):
-    s, threshold, scale, sym = _perturbed_vladimirov(cfg, ctx, rng, decay=6.0)
-    rep = wiener_experiment(sym, order=s, threshold=threshold)
+    s, threshold, scale, profile = _perturbed_vladimirov(cfg, ctx, rng, decay=6.0)
+    rep = wiener_profile(ctx, profile, order=s, threshold=threshold)
     summary = {
         "order": s,
         "threshold": threshold,
@@ -394,8 +396,8 @@ def _run_wiener(cfg, ctx, rng, out):
 
 
 def _run_parametrix(cfg, ctx, rng, out):
-    s, threshold, _, sym = _perturbed_vladimirov(cfg, ctx, rng, decay=8.0)
-    rep = parametrix(sym, order=s, threshold=threshold)
+    s, threshold, _, profile = _perturbed_vladimirov(cfg, ctx, rng, decay=8.0)
+    rep = parametrix(Symbol.radial(ctx, profile), order=s, threshold=threshold)
     rows = [("side", "r", "cutoff", "tail_norm")]
     for side in ("left", "right"):
         for ri, r in enumerate(rep.r_values):

@@ -18,12 +18,16 @@ profile: its associated matrix is exactly diagonal, so the Schur sums and
 the identity are read off the profile in closed form, with no transform
 and no N x N array.
 
-``wiener_experiment`` runs the inversion series column by column.  On a
-table that is exactly radial in xi, such as ``lambda(|xi|) + V(x)`` in the
-``wiener`` experiment, the columns of a shell are equal, so one series
-runs per shell and its floats are reported for every column of the shell.
-Each series runs in chunks of terms, one transform per chunk, sized by the
-sup-norm bound on the term at which it can stop.
+``wiener_experiment`` runs the inversion series column by column.  Its
+report lists each column above the threshold (``us``, ``norms``) with the
+frozen ``WienerColumn`` record of its series.  On a table that is exactly
+radial in xi the columns of a shell are equal, so it hands the shell
+profile to ``wiener_profile``, which runs one series per shell, has every
+column of the shell share that record, and builds no N x N array; the
+``wiener`` experiment calls it with the profile of ``lambda(|xi|) +
+V(x)`` and never builds the table.  Each series runs in chunks of terms,
+one transform per chunk, sized by the sup-norm bound on the term at which
+it can stop.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import adjoint_symbol, ellipticity_report
+from .calculus import adjoint_symbol, ellipticity_report, profile_ellipticity
 from .core import TruncationContext, offset_view
 from .fourier import dft_axis
 from .operator_matrix import OperatorMatrix, schur_sums
@@ -190,12 +194,10 @@ def multiplier_equivalence(
     return EquivalenceReport(m=m, seminorms=sem, schur=reports, identity_gaps={r: 0.0 for r in range(r_max + 1)})
 
 
-@dataclass
+@dataclass(frozen=True)
 class WienerColumn:
-    """Per-frequency record of the geometric inversion series."""
+    """Record of one geometric inversion series; the columns that share a series share its record."""
 
-    u: int
-    norm: float
     delta: float  # inf |sigma| / sup |sigma| over x
     ratio_bound: float  # 1 - delta (the contraction bound; trig polys are exact here)
     measured_ratio: float
@@ -207,13 +209,15 @@ class WienerColumn:
 class WienerReport:
     threshold: int
     order: float
-    columns: list
+    us: list  # dual index u of each column above the threshold, ascending
+    norms: list  # |xi|_p of each column
+    columns: list  # the WienerColumn of each column
     jr_constants: dict  # r -> sup_xi ||J_r spectrum of 1/sigma(., xi)||_l1 * <xi>^order
 
     def to_csv_rows(self):
         rows = [("u", "norm", "delta", "ratio_bound", "measured_ratio", "terms", "recon_error")]
-        for c in self.columns:
-            rows.append((c.u, c.norm, c.delta, c.ratio_bound, c.measured_ratio, c.terms, c.recon_error))
+        for u, norm, c in zip(self.us, self.norms, self.columns):
+            rows.append((u, norm, c.delta, c.ratio_bound, c.measured_ratio, c.terms, c.recon_error))
         return rows
 
 
@@ -230,13 +234,13 @@ def wiener_experiment(
     tracked, the measured contraction ratio is compared against the
     1 - inf/sup bound, and the summed reciprocal is cross-checked against
     the direct pointwise reciprocal.  Weighted l1 norms of the spectrum
-    of 1/sigma feed the inverse-closedness constants.
+    of 1/sigma feed the inverse-closedness constants.  The report lists,
+    per column above the threshold in ascending u, its ``us`` and
+    ``norms`` and, in ``columns``, the ``WienerColumn`` of its series.
 
-    A table that is exactly radial in xi (``Symbol.shell_profile``) has
-    equal columns on each shell, so the series runs once per shell, on its
-    first column ``ctx.shell_index[j]``, every column of the shell reports
-    those floats, and the ellipticity minima are read off the profile.
-    Other tables run every column.  The columns run in blocks of
+    A table that is exactly radial in xi (``Symbol.shell_profile``) goes
+    to ``wiener_profile`` with its profile.  Other tables run every
+    column, one record each.  The columns run in blocks of
     SERIES_BLOCK_BYTES, held as rows, and the series of a block runs in
     chunks of terms: each chunk is built by repeated multiplication into
     one (terms, rows, N) stack of at most SERIES_BLOCK_BYTES (and at least
@@ -257,13 +261,51 @@ def wiener_experiment(
     """
     ctx = sym.ctx
     profile = sym.shell_profile()
-    ell = ellipticity_report(sym, order, n_max=threshold, profile=profile)
+    if profile is not None:
+        return wiener_profile(ctx, profile, order, threshold, r_values)
+    ell = ellipticity_report(sym, order, n_max=threshold)
+    high = np.flatnonzero(ctx.norms >= float(ctx.p) ** threshold)
+    return _wiener_series(ctx, sym.table, high, high, ell, high, None, order, threshold, r_values)
+
+
+def wiener_profile(
+    ctx: TruncationContext,
+    profile,
+    order: float,
+    threshold: int,
+    r_values: tuple = (0, 1, 2, 3),
+) -> WienerReport:
+    """``wiener_experiment`` of ``Symbol.radial(ctx, profile)``, from its ``(N, n+1)`` shell profile.
+
+    The columns of shell j all equal profile column j, so one series runs
+    per shell above the threshold, reported as its first column
+    ``ctx.shell_index[j]``, and every column of the shell holds a
+    reference to that one record.  The ellipticity minima are read off
+    the profile, and no N x N array is built.  The report is the one
+    ``wiener_experiment`` gives on the expanded table.
+    """
+    profile = np.asarray(profile, dtype=np.complex128)
+    if profile.shape != (ctx.N, ctx.n + 1):
+        raise ValueError(f"radial profile must have shape ({ctx.N}, {ctx.n + 1})")
+    ell = profile_ellipticity(profile, ctx, order, n_max=threshold)
+    bar = float(ctx.p) ** threshold
+    shells = np.flatnonzero(ctx.shell_norms >= bar)[::-1]  # by first index: shell_index falls as j rises from 1
+    at = np.empty(ctx.n + 1, dtype=np.int64)
+    at[shells] = np.arange(shells.size)
+    high = np.flatnonzero(ctx.norms >= bar)
+    reps, src = ctx.shell_index[shells], at[ctx.shells[high]]
+    return _wiener_series(ctx, profile, shells, reps, ell, high, src, order, threshold, r_values)
+
+
+def _wiener_series(ctx, table, picks, reps, ell, high, src, order, threshold, r_values) -> WienerReport:
+    """Run one series per column ``table[:, picks[i]]``, reported as dual index ``reps[i]``.
+
+    ``ell`` is the table's ellipticity report (None raises); ``high``
+    lists the columns of the report and ``src`` the record each takes
+    (None: one record per column, ``reps`` being ``high``).
+    """
     if ell is None:
         raise EllipticityMarginError(f"symbol not elliptic of order {order} at threshold {threshold}")
-    high = np.flatnonzero(ctx.norms >= float(ctx.p) ** threshold)
-    # on a radial table, the first column of each shell (its lowest u) runs for all of the shell
-    key = high if profile is None else ctx.shell_index[ctx.shells[high]]
-    reps, src = np.unique(key, return_inverse=True)
     block = max(1, SERIES_BLOCK_BYTES // (16 * ctx.N))
     weights = ctx.weights
     weights_r = {r: np.power(weights, float(r)) for r in r_values}
@@ -271,7 +313,7 @@ def wiener_experiment(
     jr_sup = {r: 0.0 for r in r_values}
     for start in range(0, reps.size, block):
         us = reps[start : start + block]
-        cols = np.ascontiguousarray(sym.table[:, us].T)
+        cols = np.ascontiguousarray(table[:, picks[start : start + block]].T)
         sup = np.max(np.abs(cols), axis=1)
         inf = np.min(np.abs(cols), axis=1)
         fail = {int(i): f"column u={us[i]} vanishes identically" for i in np.flatnonzero(sup == 0.0)}
@@ -345,10 +387,8 @@ def wiener_experiment(
             measured = 0.0
             if terms[i] > 3 and first[i] > 0:
                 measured = (float(last[i]) / float(first[i])) ** (1.0 / (int(terms[i]) - 3))
-            records.append((delta, 1.0 - delta, measured, int(terms[i]), float(recon[i])))
+            records.append(WienerColumn(delta, 1.0 - delta, measured, int(terms[i]), float(recon[i])))
             for r in r_values:
                 jr_sup[r] = max(jr_sup[r], float(jr[r][i]) * weights[u] ** order)
-    columns = [
-        WienerColumn(u, norm, *records[i]) for u, norm, i in zip(high.tolist(), ctx.norms[high].tolist(), src.tolist())
-    ]
-    return WienerReport(threshold=threshold, order=order, columns=columns, jr_constants=jr_sup)
+    columns = records if src is None else list(map(records.__getitem__, src.tolist()))
+    return WienerReport(threshold, order, high.tolist(), ctx.norms[high].tolist(), columns, jr_sup)

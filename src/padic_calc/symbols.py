@@ -98,9 +98,24 @@ class Symbol:
         return row if np.all(self.table == row[None, :]) else None
 
     def shell_profile(self) -> np.ndarray | None:
-        """Per-x shell profile when the table equals its expansion exactly (radial in xi), else None."""
-        prof = self.table[:, self.ctx.shell_index]
-        return prof if np.all(self.table == prof[:, self.ctx.shells]) else None
+        """Per-x shell profile when the table equals its expansion exactly (radial in xi), else None.
+
+        A C- or F-ordered table is compared with an expansion built in its
+        own memory order, both seen as float64 pairs (re, im): two complex
+        entries are equal exactly when both parts are, so this is the
+        predicate of complex ``==`` (``-0.0 == 0.0``, NaN never equal)
+        without its cost on mixed layouts.  Other layouts compare as
+        complex.
+        """
+        table, ctx = self.table, self.ctx
+        prof = table[:, ctx.shell_index]
+        if table.flags.c_contiguous:
+            same = np.array_equal(table.view(np.float64), np.take(prof, ctx.shells, axis=1).view(np.float64))
+        elif table.flags.f_contiguous:  # compare the transposes, which are C-ordered
+            same = np.array_equal(table.T.view(np.float64), np.take(prof.T, ctx.shells, axis=0).view(np.float64))
+        else:
+            same = np.all(table == prof[:, ctx.shells])
+        return prof if same else None
 
     def to_json(self) -> str:
         return _to_json(self.ctx, self.table)

@@ -15,6 +15,7 @@ from padic_calc.calculus import (
     compose_symbols,
     ellipticity_report,
     parametrix,
+    profile_ellipticity,
     quantize,
     symbol_of,
     transpose_symbol,
@@ -409,7 +410,7 @@ def test_ellipticity_shell_mins_equal_the_masked_scans(p, n):
             profile = Symbol(ctx, table).shell_profile()
             assert profile is not None or table is tables[0]
             if profile is not None:
-                radial = ellipticity_report(Symbol(ctx, table), order, profile=profile)
+                radial = profile_ellipticity(profile, ctx, order)
                 assert (radial.threshold, radial.constant) == (rep.threshold, rep.constant)
                 assert np.array_equal(radial.shell_mins, want)
 

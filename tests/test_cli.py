@@ -34,7 +34,7 @@ from padic_calc.core import TruncationContext
 from padic_calc.fourier import dft
 from padic_calc.spectral import op_norm_sobolev
 from padic_calc.matrix_algebra import equivalence_check
-from padic_calc.symbols import _FAMILY_RATIOS, FAMILIES, _sweep, vladimirov_symbol
+from padic_calc.symbols import _FAMILY_RATIOS, FAMILIES, Symbol, _sweep, vladimirov_symbol
 from padic_calc.vladimirov import VladimirovSpec, multiplier_table, shell_eigenvalues
 
 
@@ -770,8 +770,10 @@ def test_perturbed_runners_match_pinned_values(tmp_path, capsys):
 def test_perturbed_vladimirov_is_bit_identical_to_the_tiled_table(p, n):
     cfg = ExperimentConfig("wiener", p, n, params={"s": 1.4, "perturbation": 0.3})
     ctx = TruncationContext(p, n)
-    s, _, scale, sym = _perturbed_vladimirov(cfg, ctx, np.random.default_rng(7), decay=6.0)
+    s, _, scale, profile = _perturbed_vladimirov(cfg, ctx, np.random.default_rng(7), decay=6.0)
     lam = shell_eigenvalues(VladimirovSpec(s, p), ctx)
     V = _smooth_bump(ctx, np.random.default_rng(7), decay=6.0, scale=scale)
+    assert np.array_equal(profile, lam[None, :] + V[:, None])
+    sym = Symbol.radial(ctx, profile)
     assert np.array_equal(sym.table, lam[ctx.shells][None, :] + V[:, None])
-    assert np.array_equal(sym.shell_profile(), lam[None, :] + V[:, None])
+    assert np.array_equal(sym.shell_profile(), profile)

@@ -22,6 +22,7 @@ from padic_calc.matrix_algebra import (
     multiplier_equivalence,
     schur_norm,
     wiener_experiment,
+    wiener_profile,
 )
 from padic_calc.operator_matrix import OperatorMatrix
 from padic_calc.symbols import Symbol, vladimirov_symbol
@@ -229,7 +230,7 @@ def wiener_loop(sym, order, threshold, r_values=(0, 1, 2, 3)):
     if ell is None or ell.threshold > threshold:
         raise EllipticityMarginError(f"symbol not elliptic of order {order} at threshold {threshold}")
     high = np.flatnonzero(ctx.norms >= float(ctx.p) ** threshold)
-    columns = []
+    us, norms, columns = [], [], []
     jr_sup = {r: 0.0 for r in r_values}
     for u in high:
         col = sym.table[:, u]
@@ -267,10 +268,10 @@ def wiener_loop(sym, order, threshold, r_values=(0, 1, 2, 3)):
         recip_series = acc / sup
         recip_direct = 1.0 / col
         recon = float(np.max(np.abs(recip_series - recip_direct)) / np.max(np.abs(recip_direct)))
+        us.append(int(u))
+        norms.append(float(ctx.norms[u]))
         columns.append(
             WienerColumn(
-                u=int(u),
-                norm=float(ctx.norms[u]),
                 delta=delta,
                 ratio_bound=1.0 - delta,
                 measured_ratio=measured,
@@ -282,7 +283,7 @@ def wiener_loop(sym, order, threshold, r_values=(0, 1, 2, 3)):
         for r in r_values:
             val = float(np.sum(np.power(ctx.weights, float(r)) * spec)) * ctx.weights[u] ** order
             jr_sup[r] = max(jr_sup[r], val)
-    return WienerReport(threshold=threshold, order=order, columns=columns, jr_constants=jr_sup)
+    return WienerReport(threshold=threshold, order=order, us=us, norms=norms, columns=columns, jr_constants=jr_sup)
 
 
 def perturbed_d1(ctx, seed=7):
@@ -357,9 +358,35 @@ def test_wiener_runs_one_series_per_shell_of_a_radial_table(monkeypatch, radial)
 
     monkeypatch.setattr(matrix_algebra, "dft_axis", counting_dft_axis)
     rep = wiener_experiment(Symbol(ctx, table), 1.0, 1)
-    assert [c.u for c in rep.columns] == list(range(1, ctx.N))
+    assert rep.us == list(range(1, ctx.N)) and len(rep.columns) == ctx.N - 1
     # one row per shell 1..n, or full blocks of the N - 1 columns above xi = 0
     assert max(rows) == (ctx.n if radial else matrix_algebra.SERIES_BLOCK_BYTES // (16 * ctx.N))
+
+
+@pytest.mark.parametrize("p, n", [(2, 7), (3, 5), (5, 3), (7, 2), (2, 1)])
+def test_wiener_report_is_the_same_across_layouts_and_routes(p, n):
+    # a C-ordered table, its Fortran-ordered copy and the profile entry give one report; the columns of a
+    # shell hold one shared, frozen record
+    ctx = TruncationContext(p, n)
+    sym = perturbed_d1(ctx)
+    assert sym.table.flags.c_contiguous
+    profile = sym.shell_profile()
+    for threshold in range(n + 2):
+        rep = wiener_experiment(sym, 1.0, threshold)
+        want = dataclasses.asdict(rep)
+        assert dataclasses.asdict(wiener_experiment(Symbol(ctx, np.asfortranarray(sym.table)), 1.0, threshold)) == want
+        assert dataclasses.asdict(wiener_profile(ctx, profile, 1.0, threshold)) == want
+        high = np.flatnonzero(ctx.norms >= float(p) ** threshold)
+        assert rep.us == high.tolist() and rep.norms == ctx.norms[high].tolist() and len(rep.columns) == high.size
+        records = {id(c) for c in rep.columns}
+        assert len(records) == len(set(ctx.shells[high].tolist()))
+        for u, c in zip(rep.us, rep.columns):
+            assert c is rep.columns[rep.us.index(int(ctx.shell_index[ctx.shells[u]]))]
+        if rep.columns:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                rep.columns[-1].terms = 0
+    with pytest.raises(ValueError, match="radial profile must have shape"):
+        wiener_profile(ctx, profile[:, 1:], 1.0, 1)
 
 
 def raised(fn, *args):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_calc import symbols
 from padic_calc.core import Frequency, ResourceCapError, TruncationContext, valuation
@@ -90,6 +92,71 @@ def test_shell_profile_reads_exact_radiality(p, n):
         with pytest.raises(ValueError, match="exactly radial"):
             seminorm(nudged, "S", m=0.0)
         assert random_symbol(ctx, gen).shell_profile() is None
+
+
+def complex_eq_profile(table, ctx):
+    """The radiality predicate as complex ``==`` on the expansion: the oracle of ``shell_profile``."""
+    prof = table[:, ctx.shell_index]
+    return prof if np.all(table == prof[:, ctx.shells]) else None
+
+
+def complex_eq_multiplier(table):
+    row = table[0]
+    return row if np.all(table == row[None, :]) else None
+
+
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "slice": lambda t: np.pad(t, ((1, 2), (2, 1)))[1:-2, 2:-1],  # rows and columns strided in a larger array
+}
+EDGE_PARTS = (0.0, -0.0, np.inf, -np.inf, 1.0, -2.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pn=st.sampled_from([(2, 0), (2, 1), (2, 3), (3, 2), (5, 1), (2, 5), (7, 2)]),
+    layout=st.sampled_from(sorted(LAYOUTS)),
+    edit=st.sampled_from(["none", "zero-sign", "nan", "ulp"]),
+    data=st.data(),
+)
+def test_shell_profile_agrees_with_complex_equality(pn, layout, edit, data):
+    # parts drawn from signed zeros, infinities and plain values; an expansion with matching +-inf is radial,
+    # swapping the sign of zero parts keeps it radial, a NaN anywhere or a one-ulp change on a shell of two or
+    # more columns breaks it; every verdict and profile must be complex ==, and multiplier_values is untouched
+    ctx = TruncationContext(*pn)
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    prof = np.empty((ctx.N, ctx.n + 1), dtype=np.complex128)
+    for part in (prof.real, prof.imag):  # set part by part: 1j * inf would make a NaN real part
+        edge = gen.random(part.shape) < 0.5
+        part[...] = np.where(edge, gen.choice(EDGE_PARTS, part.shape), gen.normal(size=part.shape))
+    table = np.ascontiguousarray(prof[:, ctx.shells])
+    pairs = table.view(np.float64).reshape(ctx.N, ctx.N, 2)
+    x, u, part = (data.draw(st.integers(0, k - 1)) for k in (ctx.N, ctx.N, 2))
+    if edit == "zero-sign":
+        pairs[(pairs == 0.0) & (gen.random(pairs.shape) < 0.5)] *= -1.0
+    elif edit == "nan":
+        pairs[x, u, part] = np.nan
+    elif edit == "ulp":
+        toward = 0.0 if np.isinf(pairs[x, u, part]) else data.draw(st.sampled_from([np.inf, -np.inf]))
+        pairs[x, u, part] = np.nextafter(pairs[x, u, part], toward)
+    table = LAYOUTS[layout](table)
+    assert layout != "slice" or ctx.N == 1 or not (table.flags.c_contiguous or table.flags.f_contiguous)
+    sym = Symbol(ctx, table)
+    assert sym.table is table
+    want = complex_eq_profile(table, ctx)
+    got = sym.shell_profile()
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.tobytes() == want.tobytes()
+    shell_size = np.count_nonzero(ctx.shells == ctx.shells[u])
+    if edit in ("none", "zero-sign"):
+        assert want is not None
+    elif edit == "nan" or shell_size > 1:
+        assert want is None
+    mult, want_mult = sym.multiplier_values(), complex_eq_multiplier(table)
+    assert (mult is None) == (want_mult is None)
+    assert mult is None or mult.tobytes() == want_mult.tobytes()
 
 
 def test_radial_detection_rejects_generic_tables():
