@@ -7,11 +7,12 @@ identical config + seed reproduces the numeric artifacts byte for byte.
 The manifest (and the timing sidecar of transform-bench) records wall
 time and is the one artifact excluded from that guarantee.
 
-``run`` checks ``p^n`` against ``CAPS`` before it creates the output
-directory, then calls the experiment's runner as ``runner(cfg, ctx, rng,
-out)``: the config, the ``TruncationContext(p, n)``, the seeded generator
-and the output directory.  A runner validates its own ``params``, writes
-its artifacts into ``out`` and returns the writer's records.
+Each experiment's params are its runner's keyword-only arguments, with
+the defaults that ``PARAMS`` reads off the runners at import.  ``run``
+rejects a key the runner does not take and a ``p^n`` over ``CAPS``, then
+creates the output directory and calls ``runner(ctx, rng, out, **params)``
+with the ``TruncationContext(p, n)`` and the seeded generator.  A runner
+checks its values and returns the records of the artifacts it writes.
 
 Every artifact and the manifest go through one writer, ``_write``: it
 encodes the text once, hashes those bytes for the manifest record
@@ -203,64 +204,51 @@ def _number(key: str, val, integer: bool = False, low=None, high=None, positive:
     return int(val) if integer else float(val)
 
 
-def _param(params: dict, key: str, default, **bounds):
-    return _number(key, params.get(key, default), **bounds)
-
-
-def _choice(params: dict, key: str, default, options) -> str:
-    val = params.get(key, default)
-    if val not in options:
-        raise ConfigError(f"param '{key}' must be one of {list(options)}, got {val!r}")
-    return val
-
-
-def _float_list(params: dict, key: str, default, **bounds) -> list:
-    vals = params.get(key, default)
+def _numbers(key: str, vals, **bounds) -> list:
     if not isinstance(vals, (list, tuple)) or not vals:
         raise ConfigError(f"param '{key}' must be a non-empty list")
     return [_number(key, v, **bounds) for v in vals]
 
 
-def _order(key: str, s: float, cfg: ExperimentConfig) -> float:
+def _choice(key: str, val, options) -> str:
+    if val not in options:
+        raise ConfigError(f"param '{key}' must be one of {list(options)}, got {val!r}")
+    return val
+
+
+def _order(key: str, s: float, ctx: TruncationContext) -> float:
     """``s`` if D^s and its eigenvalues up to level n+1 are finite floats, else a ConfigError naming ``key``."""
     try:
-        VladimirovSpec(s, cfg.p)
+        VladimirovSpec(s, ctx.p)
     except ValueError as exc:
         raise ConfigError(f"param '{key}': {exc}") from exc
     with np.errstate(over="ignore"):
-        if not np.isfinite(np.power(float(cfg.p), s * (cfg.n + 1))):
-            raise ConfigError(f"param '{key}': |xi|^{s} overflows at level {cfg.n + 1}")
+        if not np.isfinite(np.power(float(ctx.p), s * (ctx.n + 1))):
+            raise ConfigError(f"param '{key}': |xi|^{s} overflows at level {ctx.n + 1}")
     return s
 
 
-def _exponent(key: str, default: int, cfg: ExperimentConfig) -> int:
+def _exponent(key: str, val, ctx: TruncationContext) -> int:
     """Integer power ``key`` in [0, k_max], the largest k with p^(k(n+1)) <= 2^1023.
 
     <xi>^k and <xi>^-k then stay finite normal floats a level past n, and the
     loops over 0..k that the power drives end (1e300 passes as an integer).
     """
-    high = int(1023 // ((cfg.n + 1) * math.log2(cfg.p)))
-    return _param(cfg.params, key, default, integer=True, low=0, high=high)
+    high = int(1023 // ((ctx.n + 1) * math.log2(ctx.p)))
+    return _number(key, val, integer=True, low=0, high=high)
 
 
-def _weight_order(key: str, default: float, cfg: ExperimentConfig) -> float:
+def _weight_order(key: str, val, ctx: TruncationContext) -> float:
     """Real order ``key`` with |key|(n+1) log2 p <= 1023: <xi>^key stays a finite, nonzero float a level past n."""
-    high = 1023 / ((cfg.n + 1) * math.log2(cfg.p))
-    return _param(cfg.params, key, default, low=-high, high=high)
-
-
-def _threshold(cfg: ExperimentConfig) -> int:
-    """Ellipticity threshold in [0, n] for the runners that scale a perturbation by the shells 1..n."""
-    if cfg.n == 0:
-        raise ConfigError(f"experiment '{cfg.experiment}' needs n >= 1: its perturbation is scaled by shells 1..n")
-    return _param(cfg.params, "threshold", 1, integer=True, low=0, high=cfg.n)
+    high = 1023 / ((ctx.n + 1) * math.log2(ctx.p))
+    return _number(key, val, low=-high, high=high)
 
 
 # ----------------------------------------------------------------- experiments
 
 
-def _run_transform_bench(cfg, ctx, rng, out):
-    trials = _param(cfg.params, "trials", 20, integer=True, low=0, high=MAX_TRIALS)
+def _run_transform_bench(ctx, rng, out, *, trials=20):
+    trials = _number("trials", trials, integer=True, low=0, high=MAX_TRIALS)
     rows = [("trial", "max_fast_vs_naive", "roundtrip_error", "plancherel_gap")]
     t0 = time.perf_counter()
     for t in range(trials):
@@ -280,16 +268,16 @@ def _run_transform_bench(cfg, ctx, rng, out):
     ]
 
 
-def _run_vladimirov_eigen(cfg, ctx, rng, out):
+def _run_vladimirov_eigen(ctx, rng, out, *, s=1.0):
     if ctx.n < 1:
         raise ConfigError("vladimirov-eigen needs level n >= 1 to have a nonzero shell")
-    s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
-    spec = VladimirovSpec(s, cfg.p)
+    s = _order("s", _number("s", s, positive=True), ctx)
+    spec = VladimirovSpec(s, ctx.p)
     lam = {tag: shell_eigenvalues(spec, ctx, tag) for tag in FORMULA_TAGS}
     li = lam["integral"]
     diff = {tag: np.abs(li - lam[tag]) for tag in ("plus_constant", "scaled_constant")}
     # shells 0..n of the next level
-    shift = np.abs(li - shell_eigenvalues(spec, TruncationContext(cfg.p, cfg.n + 1))[:-1])
+    shift = np.abs(li - shell_eigenvalues(spec, TruncationContext(ctx.p, ctx.n + 1))[:-1])
     header = ("norm", "lambda_integral", "lambda_plus_constant", "lambda_scaled_constant")
     rows = [header + ("abs_diff_plus", "abs_diff_scaled", "level_shift_abs")]
     norms = ctx.shell_norms.tolist()
@@ -313,21 +301,21 @@ def _run_vladimirov_eigen(cfg, ctx, rng, out):
     return [write_csv(out / "vladimirov_eigen.csv", rows), write_json(out / "vladimirov_eigen.json", summary)]
 
 
-def _run_seminorm_sweep(cfg, ctx, rng, out):
-    s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
-    family = _choice(cfg.params, "family", "S_tilde", FAMILIES)
-    m = _weight_order("m", s, cfg)
-    rho = _param(cfg.params, "rho", 0.0, low=0.0, high=1.0)
-    delta = _param(cfg.params, "delta", 0.0, low=0.0, high=1.0)
-    alpha_max = _exponent("alpha_max", 3, cfg)
-    beta_max = _exponent("beta_max", 2, cfg)
-    profile = shell_eigenvalues(VladimirovSpec(s, cfg.p), ctx)
+def _run_seminorm_sweep(ctx, rng, out, *, s=1.0, family="S_tilde", m=None, rho=0.0, delta=0.0, alpha_max=3, beta_max=2):
+    s = _order("s", _number("s", s, positive=True), ctx)
+    family = _choice("family", family, FAMILIES)
+    m = _weight_order("m", s if m is None else m, ctx)  # m = None: the order of D^s
+    rho = _number("rho", rho, low=0.0, high=1.0)
+    delta = _number("delta", delta, low=0.0, high=1.0)
+    alpha_max = _exponent("alpha_max", alpha_max, ctx)
+    beta_max = _exponent("beta_max", beta_max, ctx)
+    profile = shell_eigenvalues(VladimirovSpec(s, ctx.p), ctx)
     rep = multiplier_seminorm(profile, ctx, family, m=m, rho=rho, delta=delta, alpha_max=alpha_max, beta_max=beta_max)
     return [write_csv(out / "seminorm.csv", rep.to_csv_rows()), _write(out / "seminorm.json", rep.to_json() + "\n")]
 
 
-def _run_compose_check(cfg, ctx, rng, out):
-    trials = _param(cfg.params, "trials", 50, integer=True, low=0, high=MAX_TRIALS)
+def _run_compose_check(ctx, rng, out, *, trials=50):
+    trials = _number("trials", trials, integer=True, low=0, high=MAX_TRIALS)
     worst = 0.0
     for _ in range(trials):
         t1 = rng.normal(size=(ctx.N, ctx.N)) + 1j * rng.normal(size=(ctx.N, ctx.N))
@@ -339,11 +327,11 @@ def _run_compose_check(cfg, ctx, rng, out):
     return [write_json(out / "compose_check.json", {"trials": trials, "max_error": worst})]
 
 
-def _run_schur_sweep(cfg, ctx, rng, out):
-    s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
-    m = _weight_order("m", s, cfg)
-    r_max = _exponent("r_max", 4, cfg)
-    profile = shell_eigenvalues(VladimirovSpec(s, cfg.p), ctx)
+def _run_schur_sweep(ctx, rng, out, *, s=1.0, m=None, r_max=4):
+    s = _order("s", _number("s", s, positive=True), ctx)
+    m = _weight_order("m", s if m is None else m, ctx)
+    r_max = _exponent("r_max", r_max, ctx)
+    profile = shell_eigenvalues(VladimirovSpec(s, ctx.p), ctx)
     rep = multiplier_equivalence(profile, ctx, m=m, r_max=r_max)
     rows = [("r", "m", "row_sup", "col_sup", "norm", "growth_ratio")]
     for sr in rep.schur:
@@ -364,25 +352,29 @@ def _smooth_bump(ctx, rng, decay: float, scale: float) -> np.ndarray:
     return scale * vals / peak if peak > 0 else vals
 
 
-def _perturbed_vladimirov(cfg, ctx, rng, decay: float):
+def _perturbed_vladimirov(experiment, ctx, rng, s, threshold, perturbation, perturbation_decay):
     """``(s, threshold, scale, profile)`` for the ``(N, n+1)`` shell profile of ``D^s + V(x)``.
 
-    Params are read, and ``rng`` drawn, in that order.  ``V`` is a seeded bump of peak ``scale``,
-    ``perturbation`` times the least D^s eigenvalue above the threshold; ``decay`` is the runner's
-    default for ``perturbation_decay``.
+    Values are checked, and ``rng`` drawn, in that order.  ``V`` is a seeded bump of peak ``scale``,
+    ``perturbation`` times the least D^s eigenvalue above the threshold, with shell spectrum
+    decaying as p^(-perturbation_decay j); ``experiment`` names the runner in the level error.
     """
-    s = _order("s", _param(cfg.params, "s", 1.0, positive=True), cfg)
-    threshold = _threshold(cfg)
-    eps_rel = _param(cfg.params, "perturbation", 0.1)
-    decay = _param(cfg.params, "perturbation_decay", decay, low=0.0)
-    lam = shell_eigenvalues(VladimirovSpec(s, cfg.p), ctx)
+    s = _order("s", _number("s", s, positive=True), ctx)
+    if ctx.n == 0:
+        raise ConfigError(f"experiment '{experiment}' needs n >= 1: its perturbation is scaled by shells 1..n")
+    threshold = _number("threshold", threshold, integer=True, low=0, high=ctx.n)
+    eps_rel = _number("perturbation", perturbation)
+    decay = _number("perturbation_decay", perturbation_decay, low=0.0)
+    lam = shell_eigenvalues(VladimirovSpec(s, ctx.p), ctx)
     margin = float(np.min(lam[max(threshold, 1) :]))
     V = _smooth_bump(ctx, rng, decay=decay, scale=eps_rel * margin)
     return s, threshold, float(eps_rel * margin), lam[None, :] + V[:, None]
 
 
-def _run_wiener(cfg, ctx, rng, out):
-    s, threshold, scale, profile = _perturbed_vladimirov(cfg, ctx, rng, decay=6.0)
+def _run_wiener(ctx, rng, out, *, s=1.0, threshold=1, perturbation=0.1, perturbation_decay=6.0):
+    s, threshold, scale, profile = _perturbed_vladimirov(
+        "wiener", ctx, rng, s, threshold, perturbation, perturbation_decay
+    )
     rep = wiener_profile(ctx, profile, order=s, threshold=threshold)
     summary = {
         "order": s,
@@ -395,8 +387,10 @@ def _run_wiener(cfg, ctx, rng, out):
     return [write_csv(out / "wiener.csv", rep.to_csv_rows()), write_json(out / "wiener.json", summary)]
 
 
-def _run_parametrix(cfg, ctx, rng, out):
-    s, threshold, _, profile = _perturbed_vladimirov(cfg, ctx, rng, decay=8.0)
+def _run_parametrix(ctx, rng, out, *, s=1.0, threshold=1, perturbation=0.1, perturbation_decay=8.0):
+    s, threshold, _, profile = _perturbed_vladimirov(
+        "parametrix", ctx, rng, s, threshold, perturbation, perturbation_decay
+    )
     rep = parametrix(Symbol.radial(ctx, profile), order=s, threshold=threshold)
     rows = [("side", "r", "cutoff", "tail_norm")]
     for side in ("left", "right"):
@@ -406,12 +400,11 @@ def _run_parametrix(cfg, ctx, rng, out):
     return [write_csv(out / "parametrix_tails.csv", rows), _write(out / "parametrix.json", rep.to_json() + "\n")]
 
 
-def _run_sobolev_bound(cfg, ctx, rng, out):
-    s_values = _float_list(cfg.params, "s_values", [1.0], positive=True)
-    s_values = [_order("s_values", s, cfg) for s in s_values]
-    t_values = _float_list(cfg.params, "t_values", [-1.0, 0.0, 2.0])
-    fine = TruncationContext(cfg.p, cfg.n + 1)
-    top = float(cfg.p) ** fine.n  # the largest weight <xi> the conjugation sees
+def _run_sobolev_bound(ctx, rng, out, *, s_values=(1.0,), t_values=(-1.0, 0.0, 2.0)):
+    s_values = [_order("s_values", s, ctx) for s in _numbers("s_values", s_values, positive=True)]
+    t_values = _numbers("t_values", t_values)
+    fine = TruncationContext(ctx.p, ctx.n + 1)
+    top = float(ctx.p) ** fine.n  # the largest weight <xi> the conjugation sees
     for s in s_values:
         with np.errstate(over="ignore"):
             bad = [t for t in t_values if not np.all(np.isfinite(np.power(top, [t, -(t + s)])))]
@@ -419,7 +412,7 @@ def _run_sobolev_bound(cfg, ctx, rng, out):
             raise ConfigError(f"param 't_values': <xi>^t or <xi>^-(t+{s}) overflows at level {fine.n} for t={bad[0]}")
     rows = [("s", "t", "norm", "norm_next_level", "rel_shift")]
     for s in s_values:
-        spec = VladimirovSpec(s, cfg.p)
+        spec = VladimirovSpec(s, ctx.p)
         lam, lam_fine = shell_eigenvalues(spec, ctx), shell_eigenvalues(spec, fine)
         for t in t_values:
             v1 = op_norm_sobolev_multiplier(lam, ctx, t, s)
@@ -428,36 +421,36 @@ def _run_sobolev_bound(cfg, ctx, rng, out):
     return [write_csv(out / "sobolev_bound.csv", rows)]
 
 
-def _run_weyl_count(cfg, ctx, rng, out):
-    s_values = _float_list(cfg.params, "s_values", [0.5, 1.0, 2.0], positive=True)
-    s_values = [_order("s_values", s, cfg) for s in s_values]
-    formula = _choice(cfg.params, "formula", "integral", FORMULA_TAGS)
+def _run_weyl_count(ctx, rng, out, *, s_values=(0.5, 1.0, 2.0), formula="integral"):
+    s_values = [_order("s_values", s, ctx) for s in _numbers("s_values", s_values, positive=True)]
+    formula = _choice("formula", formula, FORMULA_TAGS)
     artifacts = []
     fits = {}
     for s in s_values:
-        ts, counts = shell_counts(shell_eigenvalues(VladimirovSpec(s, cfg.p), ctx, formula), ctx)
+        ts, counts = shell_counts(shell_eigenvalues(VladimirovSpec(s, ctx.p), ctx, formula), ctx)
         jumps = ts > 0
         rows = [("t", "count")] + list(zip(ts[jumps], counts[jumps].tolist()))
         artifacts.append(write_csv(out / f"weyl_counts_s{_fmt(s)}.csv", rows))
         try:
-            fit = weyl_slope_fit(ts, counts, t_min=float(cfg.p) ** s, t_max=float(cfg.p) ** ((cfg.n - 1) * s))
+            fit = weyl_slope_fit(ts, counts, t_min=float(ctx.p) ** s, t_max=float(ctx.p) ** ((ctx.n - 1) * s))
         except ValueError as exc:
-            raise ConfigError(f"level n={cfg.n} is too small for the slope fit: {exc}") from exc
+            raise ConfigError(f"level n={ctx.n} is too small for the slope fit: {exc}") from exc
         fits[_fmt(s)] = asdict(fit)
     artifacts.append(write_json(out / "weyl_fits.json", {"formula": formula, "fits": fits}))
     return artifacts
 
 
-def _run_heat(cfg, ctx, rng, out):
-    orders_s = _float_list(cfg.params, "orders_s", [1.0, 0.5], positive=True)
-    orders_s = [_order("orders_s", s, cfg) for s in orders_s]
-    times = _float_list(cfg.params, "times", [0.0, 0.1, 1.0], low=0.0)
-    sobolev_orders = _float_list(cfg.params, "sobolev_orders", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+def _run_heat(
+    ctx, rng, out, *, orders_s=(1.0, 0.5), times=(0.0, 0.1, 1.0), sobolev_orders=tuple(range(7)), coefficient_floor=1.0
+):
+    orders_s = [_order("orders_s", s, ctx) for s in _numbers("orders_s", orders_s, positive=True)]
+    times = _numbers("times", times, low=0.0)
+    sobolev_orders = _numbers("sobolev_orders", sobolev_orders)
     with np.errstate(over="ignore"):
-        bad = [k for k in sobolev_orders if not np.isfinite(np.power(float(cfg.p) ** cfg.n, 2.0 * k))]
+        bad = [k for k in sobolev_orders if not np.isfinite(np.power(float(ctx.p) ** ctx.n, 2.0 * k))]
     if bad:
-        raise ConfigError(f"param 'sobolev_orders': <xi>^(2k) overflows at level {cfg.n} for k={bad[0]}")
-    lower = _param(cfg.params, "coefficient_floor", 1.0)
+        raise ConfigError(f"param 'sobolev_orders': <xi>^(2k) overflows at level {ctx.n} for k={bad[0]}")
+    lower = _number("coefficient_floor", coefficient_floor)
     f0 = LevelFunction(ctx, rng.normal(size=ctx.N) + 1j * rng.normal(size=ctx.N))
     terms = [(lower + rng.uniform(0.0, 1.0, size=ctx.N), s) for s in orders_s]
     gen_sym = variable_coefficient_generator(ctx, terms)
@@ -495,9 +488,16 @@ EXPERIMENTS = {
     "heat": _run_heat,
 }
 
+#: each experiment's params with their defaults: its runner's keyword-only arguments
+PARAMS = {name: dict(runner.__kwdefaults__) for name, runner in EXPERIMENTS.items()}
+
 
 def run(cfg: ExperimentConfig) -> Path:
     """Execute one experiment; returns the manifest path."""
+    params = PARAMS[cfg.experiment]
+    unknown = sorted(cfg.params.keys() - params)
+    if unknown:
+        raise ConfigError(f"experiment '{cfg.experiment}' has no params {unknown}; its params are {list(params)}")
     N, cap = cfg.p**cfg.n, CAPS[cfg.experiment]
     if N > cap:
         raise ResourceCapError(f"experiment '{cfg.experiment}' caps p^n at {cap}, got {N}")
@@ -508,11 +508,12 @@ def run(cfg: ExperimentConfig) -> Path:
         raise ConfigError(f"cannot create output_dir {out}: {exc}") from exc
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
-    artifacts = EXPERIMENTS[cfg.experiment](cfg, TruncationContext(cfg.p, cfg.n), rng, out)
+    artifacts = EXPERIMENTS[cfg.experiment](TruncationContext(cfg.p, cfg.n), rng, out, **cfg.params)
     wall = time.perf_counter() - t0
     manifest = {
         "experiment": cfg.experiment,
         "config_sha256": hashlib.sha256(cfg.canonical_json().encode()).hexdigest(),
+        "params": {**params, **cfg.params},
         "package_version": __version__,
         "numpy_version": np.__version__,
         "python_version": sys.version.split()[0],

@@ -135,7 +135,7 @@ class TruncationContext:
         """Shell index per dual element: 0 for xi = 0, j for norm p^j."""
         return self.n - self.valuations  # valuations[0] = n
 
-    @property
+    @cached_property
     def shell_index(self) -> np.ndarray:
         """One dual index per shell, ``p^(n-j) mod N`` for shell j: the first index of each shell, in O(n)."""
         return self.p ** (self.n - np.arange(self.n + 1)) % self.N

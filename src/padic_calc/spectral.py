@@ -254,7 +254,8 @@ def eigen(A: OperatorMatrix, cap: int = DENSE_EIG_CAP) -> EigenDecomposition:
     w, V = np.linalg.eig(solved)
     order = np.argsort(np.abs(w), kind="stable")
     w, V = w[order], V[:, order]
-    resid = np.linalg.norm(solved @ V - V * w[None, :], axis=0) / np.maximum(np.linalg.norm(V, axis=0), 1e-300)
+    with np.errstate(over="ignore"):  # a residual past the float range is inf, and fails the check below
+        resid = np.linalg.norm(solved @ V - V * w[None, :], axis=0) / np.maximum(np.linalg.norm(V, axis=0), 1e-300)
     max_resid = float(np.max(resid)) if resid.size else 0.0
     dec = EigenDecomposition(
         values=w.astype(np.complex128, copy=False),

@@ -22,6 +22,7 @@ from padic_calc.cli import (
     EXIT_OK,
     CAPS,
     EXPERIMENTS,
+    PARAMS,
     ConfigError,
     ExperimentConfig,
     _fmt,
@@ -279,9 +280,8 @@ def test_negative_seed_exits_config(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-#: every name a runner reads from ``params``
-PARAM_NAMES = """alpha_max beta_max coefficient_floor delta family formula m orders_s perturbation
-perturbation_decay r_max rho s s_values sobolev_orders t_values threshold times trials""".split()
+#: every param of every experiment, and names that none of them takes
+FUZZ_KEYS = sorted(set().union(*PARAMS.values())) + ["S", "s_vals", "ctx", "out"]
 ODD_VALUES = (0, -1, 1, 2, 0.5, 1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf, "x", "S", "integral")
 ODD_VALUES += ([], [0.5], [1e300], [-1], [math.nan], ["x"], None, True, False)
 CONFIG_DOCS = st.fixed_dictionaries(
@@ -291,7 +291,7 @@ CONFIG_DOCS = st.fixed_dictionaries(
         "p": st.sampled_from([2, 3, 5, 7]),
         "n": st.integers(0, 3),
         "seed": st.integers(-2, 5),
-        "params": st.dictionaries(st.sampled_from(PARAM_NAMES), st.sampled_from(ODD_VALUES), max_size=3),
+        "params": st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(ODD_VALUES), max_size=3),
     }
 )
 
@@ -305,6 +305,44 @@ def test_config_fuzz_exits_with_a_contract_code(doc):
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["run", "--config", str(path)]) in (EXIT_OK, EXIT_CONFIG, EXIT_CAP, EXIT_NUMERIC)
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_misspelled_param_exits_config_before_the_output_directory(tmp_path, capsys, experiment):
+    key = next(iter(PARAMS[experiment])).capitalize()  # "s" -> "S", "trials" -> "Trials"
+    out = tmp_path / "out"
+    doc = {"experiment": experiment, "p": 2, "n": 3, "output_dir": str(out), "params": {key: 1.0}}
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and "\n" not in err
+    assert repr(key) in err and repr(experiment) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_manifest_records_every_param_with_its_default(tmp_path, capsys, experiment):
+    given = {"s": 1.5} if "s" in PARAMS[experiment] else {}
+    doc = {"experiment": experiment, "p": 2, "n": SMALL_N[experiment], "output_dir": str(tmp_path), "params": given}
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == EXIT_OK
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["params"].keys() == PARAMS[experiment].keys()
+    assert manifest["params"] == json.loads(json.dumps({**PARAMS[experiment], **given}))
+    # the hash is of the config as given, not of the resolved params
+    given_json = ExperimentConfig.from_dict(doc).canonical_json()
+    assert manifest["config_sha256"] == hashlib.sha256(given_json.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("experiment", ["seminorm-sweep", "schur-sweep"])
+def test_null_weight_order_is_the_order_of_d_s(tmp_path, capsys, experiment):
+    # m = None, the default, means m = s: an explicit null runs as the default does
+    outs = []
+    for tag, params in (("default", {"s": 1.3}), ("null", {"s": 1.3, "m": None}), ("s", {"s": 1.3, "m": 1.3})):
+        doc = {"experiment": experiment, "p": 2, "n": 4, "output_dir": str(tmp_path / tag), "params": params}
+        assert main(["run", "--config", str(write_config(tmp_path, doc, f"{tag}.json"))]) == EXIT_OK
+        outs.append({p.name: p.read_bytes() for p in (tmp_path / tag).iterdir() if p.name != "manifest.json"})
+    capsys.readouterr()
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_cli_import_loads_no_scipy():
@@ -643,6 +681,16 @@ def test_heat_non_finite_eigen_route_is_a_numeric_failure(tmp_path, capsys, seed
     assert err.startswith("numeric failure:") and "\n" not in err
 
 
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 3)])
+def test_heat_eigen_residual_past_the_float_range_prints_one_line(tmp_path, p, n):
+    # residual entries near 1e174 overflow when squared; the run exits 4 with no warning on stderr
+    doc = {"experiment": "heat", "p": p, "n": n, "output_dir": str(tmp_path / "out"), "params": {"orders_s": [200.0]}}
+    argv = [sys.executable, "-m", "padic_calc.cli", "run", "--config", str(write_config(tmp_path, doc))]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == EXIT_NUMERIC
+    assert proc.stderr.startswith("numeric failure: eigen residual") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_heat_non_finite_multiplier_route_is_a_numeric_failure(tmp_path, capsys, recwarn):
     # every coefficient rounds to -1e300, so the rows are equal and exp(-t lambda) overflows
     out = tmp_path / "out"
@@ -768,9 +816,8 @@ def test_perturbed_runners_match_pinned_values(tmp_path, capsys):
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 5), (3, 4), (5, 3)])
 def test_perturbed_vladimirov_is_bit_identical_to_the_tiled_table(p, n):
-    cfg = ExperimentConfig("wiener", p, n, params={"s": 1.4, "perturbation": 0.3})
     ctx = TruncationContext(p, n)
-    s, _, scale, profile = _perturbed_vladimirov(cfg, ctx, np.random.default_rng(7), decay=6.0)
+    s, _, scale, profile = _perturbed_vladimirov("wiener", ctx, np.random.default_rng(7), 1.4, 1, 0.3, 6.0)
     lam = shell_eigenvalues(VladimirovSpec(s, p), ctx)
     V = _smooth_bump(ctx, np.random.default_rng(7), decay=6.0, scale=scale)
     assert np.array_equal(profile, lam[None, :] + V[:, None])
